@@ -6,8 +6,9 @@ Two benchmark kinds, mirroring the paper's cost split:
   materialise once) vs the hypervector-domain reference (encode every
   sample, accumulate per class).  The two produce bit-identical class
   hypervectors, so the ``checks`` stanza doubles as a correctness gate.
-* **inference** — fused encoding (pre-bound gather + sum) and fused
-  score-table prediction (:mod:`repro.lookhd.inference`) vs the reference
+* **inference** — blocked narrow-accumulator encoding
+  (:mod:`repro.lookhd.encoder`) and fused score-table prediction
+  (:mod:`repro.lookhd.inference`) vs the reference
   ``(N, m, D)``-materialising encode and group-loop Eq. 4/5 search.
   Predictions must match exactly.
 
@@ -73,8 +74,8 @@ DEFAULT_WORKER_COUNTS = (1, 2, 4)
 def _time_stage(fn: Callable[[], object], n_samples: int, repeats: int) -> dict:
     """Median-of-``repeats`` wall time for ``fn`` after one warmup call.
 
-    The warmup also charges any lazy table builds (pre-bound table, score
-    table) to setup rather than to the steady-state timing — matching how
+    The warmup also charges any lazy table build (the score table) to
+    setup rather than to the steady-state timing — matching how
     a deployed model amortises them.
     """
     if repeats < 1:
@@ -155,7 +156,7 @@ def _inference_workload_entry(task: tuple[BenchWorkload, int]) -> tuple[dict, di
         "predict_fused": _time_stage(lambda: clf.predict(test), test.shape[0], repeats),
     }
     with telemetry.activated(registry):
-        # Both timed stages: encode path selection + fused prediction.
+        # Both timed stages: encode accumulator selection + fused prediction.
         clf.encoder.encode_many(test)
         clf.predict(test)
     fused_predictions = np.asarray(clf.predict(test))
@@ -178,11 +179,6 @@ def _inference_workload_entry(task: tuple[BenchWorkload, int]) -> tuple[dict, di
             "accuracy_fused": float(np.mean(fused_predictions == labels)),
             "accuracy_reference": float(np.mean(reference_predictions == labels)),
             "score_table_bytes": clf.fused_engine().memory_bytes(),
-            "prebound_table_bytes": (
-                0
-                if clf.encoder.prebound_table is None
-                else int(clf.encoder.prebound_table.nbytes)
-            ),
         },
     }
     return entry, registry.snapshot()

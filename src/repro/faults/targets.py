@@ -18,9 +18,9 @@ target             memory                                      stored as
 Integer fields use the minimal two's-complement width for the trained
 values — the footprint a deployment would provision — and the compressed
 model uses ``fixed_point_width``-bit fixed point.  After injection every
-derived cache (pre-bound encode table, fused score tables, normalised
-class views, the compressed search matrix) is invalidated so the faulted
-values actually flow through inference.
+derived cache (fused score tables, normalised class views, the
+compressed search matrix) is invalidated so the faulted values actually
+flow through inference.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.faults.injectors import (
     flip_sign_bits,
     required_width,
 )
-from repro.lookhd import encoder as encoder_module
 from repro.lookhd.classifier import LookHDClassifier
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_in_range, check_positive_int
@@ -45,10 +44,10 @@ from repro.utils.validation import check_in_range, check_positive_int
 DEFAULT_TARGETS = ("lookup_table", "positions", "class_vectors", "compressed", "keys")
 
 #: Memories :func:`inject_live_fault` can corrupt *in place* on a serving
-#: classifier.  The derived caches ("score_table", "prebound_table") model
-#: bit rot in state the version counters cannot see; the authoritative
-#: entries model damage the integrity guard must repair or degrade around.
-LIVE_TARGETS = ("score_table", "prebound_table", "class_vectors", "compressed")
+#: classifier.  The derived cache ("score_table") models bit rot in state
+#: the version counters cannot see; the authoritative entries model damage
+#: the integrity guard must repair or degrade around.
+LIVE_TARGETS = ("score_table", "class_vectors", "compressed")
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,6 @@ class FaultReport:
 def _invalidate_caches(clf: LookHDClassifier) -> None:
     """Drop every table derived from the now-faulted memories."""
     clf._fused_engine = None
-    if clf.encoder is not None:
-        clf.encoder._prebound = encoder_module._UNSET
     if clf.class_model is not None:
         clf.class_model.mark_dirty()
     if clf.compressed_model is not None:
@@ -202,13 +199,6 @@ def inject_live_fault(
             raise ValueError(
                 "score_table is not materialised (fused path over budget); "
                 "pick an authoritative live target instead"
-            )
-    elif target == "prebound_table":
-        array = clf.encoder.prebound_table  # force materialisation
-        if array is None:
-            raise ValueError(
-                "prebound_table is not materialised (over budget or unbound "
-                "positions); pick another live target"
             )
     elif target == "class_vectors":
         array = clf.class_model.class_vectors

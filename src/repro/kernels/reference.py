@@ -118,12 +118,8 @@ def gather_accumulate(
 ) -> np.ndarray:
     """Fused gather + sum: ``out[n] = Σ_c table[c, addresses[n, c]]``.
 
-    The one primitive behind both lookup-domain hot paths:
-
-    * fused score-table inference — ``table`` is the ``(m, q^r, k)``
-      float64 score table, ``out`` the per-class scores;
-    * pre-bound encoding — ``table`` is the ``(m, q^r, D)`` integer
-      pre-bound table ``B[i] = P_i ⊙ T``, ``out`` the encoded batch.
+    The primitive behind fused score-table inference: ``table`` is the
+    ``(m, q^r, k)`` float64 score table, ``out`` the per-class scores.
 
     Accumulation is chunk-major per output element (``c = 0, 1, …``), so
     the float variant is deterministic and compiled backends can match it

@@ -19,7 +19,7 @@ mode, and :func:`set_backend` changes it at runtime.  ``auto`` means
 means the same but warns when it falls back; ``numpy`` pins the
 reference.  Every :func:`set_backend` call bumps a monotonic
 :func:`backend_version` counter so callers caching backend-derived state
-(the encoder's pre-bound table) can invalidate on a switch.
+can invalidate on a switch.
 
 Dispatch is batch-level — one :func:`dispatch` per training batch or
 inference batch, never per sample — so the resolution check and the

@@ -313,19 +313,17 @@ class LookHDClassifier:
     # -- serving table lifecycle -----------------------------------------------
 
     def warm_tables(self) -> int:
-        """Materialise the serving caches off the request path; returns bytes.
+        """Materialise the serving cache off the request path; returns bytes.
 
-        Forces both lazily built table sets — the pre-bound encode table
-        ``B = P ⊙ T`` and the fused ``(m, q^r, k)`` score table — so a
+        Forces the lazily built fused ``(m, q^r, k)`` score table, so a
         model can be published into a registry fully bound, and the first
-        request after a hot-swap never pays a build.  Tables over their
-        budgets simply stay unbuilt (the exact fallback paths serve);
-        the return value is the bytes actually held, the quantity the
+        request after a hot-swap never pays a build.  A table over its
+        budget simply stays unbuilt (the exact fallback path serves); the
+        return value is the bytes actually held, the quantity the
         registry charges against its cache budget.
         """
         if self.encoder is None:
             raise RuntimeError("classifier must be fitted before warming tables")
-        self.encoder.prebound_table  # noqa: B018 — property access builds
         if self.config.fused_inference and not self.serve_reference:
             engine = self.fused_engine()
             if engine.enabled:
@@ -333,25 +331,20 @@ class LookHDClassifier:
         return self.serving_table_bytes()
 
     def release_tables(self) -> None:
-        """Drop the serving caches (registry LRU eviction entry point).
+        """Drop the serving cache (registry LRU eviction entry point).
 
         Only derived state goes: the authoritative model family stays, so
-        the next ``predict``/:meth:`warm_tables` rebuilds bit-identical
-        tables lazily.
+        the next ``predict``/:meth:`warm_tables` rebuilds a bit-identical
+        table lazily.
         """
         if self._fused_engine is not None:
             self._fused_engine.invalidate()
-        if self.encoder is not None:
-            self.encoder.invalidate_prebound()
 
     def serving_table_bytes(self) -> int:
-        """Live bytes held by the serving caches (0 when released/unbuilt)."""
-        held = 0
-        if self.encoder is not None:
-            held += self.encoder.prebound_bytes_held()
-        if self._fused_engine is not None:
-            held += self._fused_engine.memory_bytes()
-        return held
+        """Live bytes held by the serving cache (0 when released/unbuilt)."""
+        if self._fused_engine is None:
+            return 0
+        return self._fused_engine.memory_bytes()
 
     def predict(
         self,

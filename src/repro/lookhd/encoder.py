@@ -11,26 +11,26 @@ chunks of the input would encode to the same hypervector (the "naive
 aggregation" the paper rejects, kept available here for the ablation
 bench).
 
-Fast path
----------
-Because binding with a fixed position vector is itself a table transform,
-the per-sample multiply can be hoisted out of the batch loop entirely: the
-*pre-bound* table ``B[i] = P_i ⊙ T`` (shape ``(m, q^r, D)``) is built once,
-lazily, under a configurable memory budget, after which encoding is a pure
-gather + sum — no elementwise multiply per sample and no ``(N, m, D)``
-intermediate.  When the pre-bound table exceeds the budget the encoder
-falls back to a chunk-at-a-time loop that binds on the fly but still never
-materialises the ``(N, m, D)`` tensor.  Both paths are bit-identical to
-the reference Eq. 3 implementation (integer arithmetic, addition
-reordering only), which is kept as :meth:`LookupEncoder.encode_reference`
-for equivalence tests and benchmarking.
+Kernel
+------
+:meth:`LookupEncoder.encode_addresses` is one blocked kernel: for each
+block of rows it gathers the rows' chunk vectors ``T[a]`` as a
+``(rows, m, D)`` slab of about :data:`BLOCK_BYTES` (so the slab stays
+cache-resident), binds it with the positions and sums over chunks.  The
+bind and the sum run in the narrowest integer dtype that a bound proves
+exact — the narrow fixed-width adders of the paper's hardware, since a
+table element needs only ``log2(r)+1``-ish bits (Sec. III-C).  Integer
+addition is exact in any order, so the result is bit-identical to the
+reference Eq. 3 implementation, which is kept as
+:meth:`LookupEncoder.encode_reference` for equivalence tests and
+benchmarking.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels, telemetry
+from repro import telemetry
 from repro.hdc.item_memory import RandomItemMemory
 from repro.hdc.ops import ACCUM_DTYPE
 from repro.lookhd.chunking import ChunkLayout
@@ -39,12 +39,11 @@ from repro.quantization.base import Quantizer
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_2d
 
-#: Default ceiling for the pre-bound table ``B = P ⊙ T``; above this the
-#: encoder silently falls back to binding on the fly (still fused).
-DEFAULT_PREBIND_BUDGET_BYTES = 256 * 2**20
+#: Target size of the gathered ``(rows, m, D)`` slab per kernel block.
+BLOCK_BYTES = 2**20
 
-#: Sentinel distinguishing "not built yet" from "over budget" (None).
-_UNSET = object()
+#: Accumulator candidates, narrowest first.
+_ACCUMULATORS = (np.dtype(np.int16), np.dtype(np.int32), np.dtype(ACCUM_DTYPE))
 
 
 class LookupEncoder:
@@ -63,9 +62,6 @@ class LookupEncoder:
     bind_positions:
         When ``False``, chunks are aggregated by plain addition (the naive
         scheme of Sec. III-A); used only for ablation.
-    prebind_budget_bytes:
-        Memory ceiling for the lazily built pre-bound table ``B = P ⊙ T``.
-        Set to 0 to disable pre-binding entirely.
     """
 
     def __init__(
@@ -75,7 +71,6 @@ class LookupEncoder:
         layout: ChunkLayout,
         seed: int | np.random.Generator | None = 0,
         bind_positions: bool = True,
-        prebind_budget_bytes: int = DEFAULT_PREBIND_BUDGET_BYTES,
     ):
         if quantizer.levels != lookup_table.q:
             raise ValueError("quantizer and lookup table disagree on q")
@@ -86,13 +81,11 @@ class LookupEncoder:
         self.layout = layout
         self.dim = lookup_table.dim
         self.bind_positions = bind_positions
-        self.prebind_budget_bytes = int(prebind_budget_bytes)
         self.position_memory = RandomItemMemory(
             layout.n_chunks, self.dim, rng=derive_rng(seed, "positions")
         )
-        self._prebound = _UNSET
-        self._prebound_backend_version = kernels.backend_version()
-        self._quantizer_version = quantizer.version
+        #: ``(table, max |entry|)`` for the table array last encoded from.
+        self._table_bound: tuple[np.ndarray, int] | None = None
 
     @property
     def n_features(self) -> int:
@@ -102,36 +95,15 @@ class LookupEncoder:
     def encoding_version(self) -> int:
         """Version of the value → address map this encoder realises.
 
-        Tracks :attr:`Quantizer.version`: when a streaming quantizer
-        refreshes its boundaries, the *meaning* of every chunk address
-        shifts, so anything cached against addresses produced earlier is
-        stale.  Reading this property syncs the encoder — the pre-bound
-        table is dropped on a version change (conservative: its values do
-        not embed boundaries, but dropping it puts every boundary move
-        through one rebuild path) — and consumers such as
+        The quantizer's :attr:`~repro.quantization.base.Quantizer.version`:
+        when a streaming quantizer refreshes its boundaries, the *meaning*
+        of every chunk address shifts, so anything cached against
+        addresses produced earlier is stale.  Consumers such as
         :class:`~repro.lookhd.inference.FusedInferenceEngine` key their
-        fused score tables to the returned counter, mirroring how
-        ``model.version`` keys the class-model side.
+        fused score tables to it, mirroring how ``model.version`` keys the
+        class-model side.
         """
-        version = self.quantizer.version
-        if version != self._quantizer_version:
-            self._quantizer_version = version
-            self.invalidate_prebound()
-        return version
-
-    def __getstate__(self) -> dict:
-        # The pre-bound table is a pure cache of table × positions; drop it
-        # so worker broadcasts stay small.  It also must not be pickled:
-        # the _UNSET sentinel would not survive a round trip (a fresh
-        # ``object()`` on unpickling would no longer be ``is _UNSET``).
-        state = self.__dict__.copy()
-        state.pop("_prebound", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._prebound = _UNSET
-        self._prebound_backend_version = kernels.backend_version()
+        return self.quantizer.version
 
     def addresses(self, features: np.ndarray) -> np.ndarray:
         """Quantize and form chunk addresses: ``(N, n)`` floats → ``(N, m)`` ints."""
@@ -143,76 +115,42 @@ class LookupEncoder:
         levels = self.quantizer.transform(batch)
         return self.layout.addresses(levels, self.quantizer.levels)
 
-    # -- pre-bound table -------------------------------------------------------
-
-    def prebound_bytes_needed(self) -> int:
-        """Footprint of the full ``(m, q^r, D)`` pre-bound table."""
-        return (
-            self.layout.n_chunks
-            * self.lookup_table.n_rows
-            * self.dim
-            * self.lookup_table.table.itemsize
-        )
-
-    @property
-    def prebound_table(self) -> np.ndarray | None:
-        """The pre-bound table ``B[i] = P_i ⊙ T``, or ``None`` if over budget.
-
-        Built lazily on first access; ``(m, q^r, D)`` in the lookup table's
-        dtype.  Position binding is a ±1 multiply, so the dtype never widens.
-
-        The cache is keyed to the kernel registry's backend version: a
-        :func:`repro.kernels.set_backend` switch drops it, so a backend
-        swap can never serve state built under the previous backend (the
-        same version-counter idiom as the model/codebook caches).
-        """
-        if self._prebound_backend_version != kernels.backend_version():
-            self._prebound = _UNSET
-            self._prebound_backend_version = kernels.backend_version()
-        self.encoding_version  # sync against quantizer boundary moves
-        # Single read, local return: a concurrent invalidate_prebound()
-        # (registry eviction releasing a tenant's tables mid-request) must
-        # never leak the _UNSET sentinel to a caller that already passed
-        # the check — it keeps the complete table, the next access rebuilds.
-        prebound = self._prebound
-        if prebound is _UNSET:
-            if (
-                not self.bind_positions
-                or self.prebound_bytes_needed() > self.prebind_budget_bytes
-            ):
-                prebound = None
-            else:
-                table = self.lookup_table.table
-                prebound = (
-                    table[np.newaxis, :, :]
-                    * self.position_memory.vectors[:, np.newaxis, :].astype(table.dtype)
-                )
-            self._prebound = prebound
-        return prebound
-
     def prebound_bytes_held(self) -> int:
-        """Bytes actually held by the built pre-bound table (0 when unbuilt).
+        """Always 0: the encoder keeps no pre-bound ``(m, q^r, D)`` table.
 
-        Unlike :meth:`prebound_bytes_needed` this reports live memory, so
-        the serving registry can account cached table sets against its
-        byte budget without forcing a build.
+        Binding happens inside the encode kernel.  The method stays
+        because the repository benchmark's traced runs report it as
+        ``lookhd.encoder.prebound_mb``.
         """
-        if self._prebound is _UNSET or self._prebound is None:
-            return 0
-        return int(self._prebound.nbytes)
-
-    def invalidate_prebound(self) -> None:
-        """Drop the pre-bound table so the next access rebuilds it.
-
-        The backend-version key only covers kernel switches; in-place
-        corruption of the cached table is invisible to it.  The integrity
-        layer (:mod:`repro.resilience`) calls this to force a rebuild from
-        the raw lookup table and positions.
-        """
-        self._prebound = _UNSET
-        telemetry.count("encoder.prebound.invalidations")
+        return 0
 
     # -- encoding --------------------------------------------------------------
+
+    def accumulator_dtype(self) -> np.dtype:
+        """Narrowest integer dtype in which encoding is provably exact.
+
+        Every encoded element, and every partial sum on the way to it, is
+        a sum of at most ``m`` terms ``±T[a, d]`` — positions are bipolar,
+        so binding never widens a term — hence bounded by
+        ``m × max|T|``.  ``max|T|`` is taken from the table array the
+        kernel reads and re-derived whenever ``lookup_table.table`` is
+        replaced (fault injection swaps in a corrupted copy).
+        """
+        return self._accumulator_for(self.lookup_table.table, self.layout.n_chunks)
+
+    def _accumulator_for(self, table: np.ndarray, n_terms: int) -> np.dtype:
+        cached = self._table_bound  # one read: a concurrent encode may replace it
+        if cached is not None and cached[0] is table:
+            max_abs = cached[1]
+        else:
+            # Two reductions rather than ``np.abs``: no table-sized
+            # temporary, and |−32768| does not wrap around in int16.
+            max_abs = max(int(table.max(initial=0)), -int(table.min(initial=0)))
+            self._table_bound = (table, max_abs)
+        bound = n_terms * max_abs
+        return next(
+            dtype for dtype in _ACCUMULATORS if bound <= np.iinfo(dtype).max
+        )
 
     def encode(self, features: np.ndarray) -> np.ndarray:
         """Encode one sample or a batch to ``(D,)`` / ``(N, D)`` hypervectors."""
@@ -221,33 +159,27 @@ class LookupEncoder:
         return encoded[0] if single else encoded
 
     def encode_addresses(self, addresses: np.ndarray) -> np.ndarray:
-        """Encode pre-computed ``(N, m)`` chunk addresses to ``(N, D)``.
+        """Encode pre-computed ``(N, m)`` chunk addresses to ``(N, D)`` int64.
 
-        Accumulates one chunk position at a time — a gather + add per chunk
-        against the pre-bound table when it fits the budget, otherwise a
-        gather + bind + add against the raw table.  Either way the peak
-        intermediate is ``(N, D)``, never ``(N, m, D)``.
+        Per block of rows: gather the ``(rows, m, D)`` slab of chunk
+        vectors, bind it with the positions and sum over chunks, all in
+        :meth:`accumulator_dtype`; only the ``(rows, D)`` sums widen to
+        int64.
         """
         addresses = np.asarray(addresses)
-        prebound = self.prebound_table
-        if prebound is not None:
-            # The registry's gather_accumulate primitive: gather + sum per
-            # chunk position, accumulated directly in ACCUM_DTYPE.
-            encoded = kernels.gather_accumulate(prebound, addresses, ACCUM_DTYPE)
-            telemetry.count("encoder.encode.batches", path="prebound")
-            telemetry.count("encoder.encode.samples", encoded.shape[0])
-            telemetry.count("encoder.encode.bytes", encoded.nbytes)
-            return encoded
-        encoded = np.zeros((addresses.shape[0], self.dim), dtype=ACCUM_DTYPE)
         table = self.lookup_table.table
-        positions = self.position_memory.vectors
-        for chunk in range(self.layout.n_chunks):
-            chunk_hvs = table[addresses[:, chunk]].astype(ACCUM_DTYPE)
-            if self.bind_positions:
-                chunk_hvs *= positions[chunk]
-            encoded += chunk_hvs
-        telemetry.count("encoder.encode.batches", path="raw_table")
-        telemetry.count("encoder.encode.samples", encoded.shape[0])
+        n_rows, n_chunks = addresses.shape
+        dtype = self._accumulator_for(table, n_chunks)
+        encoded = np.empty((n_rows, self.dim), dtype=ACCUM_DTYPE)
+        positions = self.position_memory.vectors.astype(dtype) if self.bind_positions else None
+        block = max(1, BLOCK_BYTES // (n_chunks * self.dim * dtype.itemsize))
+        for start in range(0, n_rows, block):
+            chunk_hvs = table[addresses[start : start + block]].astype(dtype, copy=False)
+            if positions is not None:
+                chunk_hvs *= positions
+            encoded[start : start + block] = chunk_hvs.sum(axis=1, dtype=dtype)
+        telemetry.count("encoder.encode.batches", accumulator=dtype.name)
+        telemetry.count("encoder.encode.samples", n_rows)
         telemetry.count("encoder.encode.bytes", encoded.nbytes)
         return encoded
 

@@ -74,11 +74,14 @@ def retrain_compressed(
     if validation is not None:
         val_encoded = np.atleast_2d(np.asarray(validation[0]))
         validation = (
-            val_encoded,
+            val_encoded.astype(np.float64, copy=False),
             check_labels(validation[1], "validation labels", n_samples=val_encoded.shape[0]),
         )
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
+    # Scores and updates work in float64: convert both sets once here, not
+    # in every predict and update (the same values either way).
+    train = encoded_train.astype(np.float64, copy=False)
     trace = RetrainTrace()
     # The paper retrains "until the accuracy stabilises over the validation
     # data"; with a fixed iteration budget the equivalent is keeping the
@@ -86,35 +89,32 @@ def retrain_compressed(
     # against late-pass perceptron thrash.
     best_accuracy = -1.0
     best_state: tuple[np.ndarray, np.ndarray] | None = None
-    selection = validation if validation is not None else (encoded_train, labels)
+
+    def _accuracy(encoded: np.ndarray, expected: np.ndarray) -> float:
+        return float(np.mean(np.atleast_1d(model.predict(encoded)) == expected))
 
     def _selection_accuracy() -> float:
-        sel_encoded, sel_labels = selection
-        sel_predictions = np.atleast_1d(model.predict(sel_encoded))
-        return float(np.mean(sel_predictions == np.asarray(sel_labels)))
+        return _accuracy(*validation) if validation is not None else _accuracy(train, labels)
 
     for _ in range(iterations):
-        accuracy_now = _selection_accuracy()
-        if accuracy_now > best_accuracy:
-            best_accuracy = accuracy_now
-            best_state = (model.compressed.copy(), model.prepared_classes.copy())
         # All predictions for the pass are computed before any update, so
         # every sample sees the same (pre-update) model — the shadow-copy
         # semantics of the hardware pipeline (Sec. V-C).
-        predictions = np.atleast_1d(model.predict(encoded_train))
+        predictions = np.atleast_1d(model.predict(train))
+        train_accuracy = float(np.mean(predictions == labels))
+        # Without a validation set the pass's own predictions are the
+        # selection score: the model has not changed since they were made.
+        accuracy_now = train_accuracy if validation is None else _accuracy(*validation)
+        if accuracy_now > best_accuracy:
+            best_accuracy = accuracy_now
+            best_state = (model.compressed.copy(), model.prepared_classes.copy())
         wrong = np.flatnonzero(predictions != labels)
         for index in wrong:
-            model.retrain_update(
-                int(labels[index]), int(predictions[index]), encoded_train[index]
-            )
+            model.retrain_update(int(labels[index]), int(predictions[index]), train[index])
         trace.updates_per_iteration.append(int(wrong.size))
-        trace.train_accuracy.append(float(np.mean(predictions == labels)))
+        trace.train_accuracy.append(train_accuracy)
         if validation is not None:
-            val_encoded, val_labels = validation
-            val_predictions = np.atleast_1d(model.predict(val_encoded))
-            trace.validation_accuracy.append(
-                float(np.mean(val_predictions == np.asarray(val_labels)))
-            )
+            trace.validation_accuracy.append(_accuracy(*validation))
         if stop_when_clean and wrong.size == 0:
             break
     if iterations > 0 and best_state is not None and _selection_accuracy() < best_accuracy:

@@ -15,9 +15,8 @@ Data flow per :meth:`ParallelTrainer.observe` call:
    once into ``multiprocessing.shared_memory`` segments (zero pickling of
    the data — workers map the same physical pages read-only);
 2. the fitted :class:`~repro.lookhd.encoder.LookupEncoder` is broadcast
-   once per worker through the executor's initializer (its pre-bound
-   cache is dropped in ``__getstate__``, so the broadcast is just the
-   quantizer, table, and position memory);
+   once per worker through the executor's initializer (the broadcast is
+   just the quantizer, table, and position memory);
 3. each worker runs quantize → address → count over its contiguous shard
    and returns an ``(k, m, q^r)`` int64 count block;
 4. the parent reduces the blocks with

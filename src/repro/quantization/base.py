@@ -34,8 +34,8 @@ class Quantizer(abc.ABC):
         """Monotonic boundary version, bumped whenever boundaries (re)learn.
 
         Consumers that cache state whose *semantics* depend on the raw
-        value → level map — the encoder's pre-bound table, a fused score
-        table addressed by quantized chunks — key their caches to this
+        value → level map — a fused score table addressed by quantized
+        chunks — key their caches to this
         counter (the library-wide version-counter idiom), so a streaming
         quantizer refreshing its boundaries mid-serving can never leave a
         stale cache serving the old value→address map.

@@ -19,14 +19,13 @@ call (the scrub budget), round-robin, so a long-lived service sweeps its
 entire model state every few seconds of idle time without ever stalling
 a request.
 
-**Derived state** — the pre-bound encode table and the fused score
-table — is a pure cache; hashing gigabyte-scale caches block-by-block
-would dwarf the state they are derived from.  Instead the guard uses
-*canary queries*: a handful of deterministic feature vectors whose
-answers (score vectors / encodings) are digest-recorded when the state
-is known-good.  A canary re-query touches every layer of the serving
-path (quantize → address → gather → score), so a single digest
-comparison is an end-to-end known-answer check.
+**Derived state** — the fused score table — is a pure cache; it is
+covered by block digests and by *canary queries*: a handful of
+deterministic feature vectors whose answers (score vectors / encodings)
+are digest-recorded when the state is known-good.  A canary re-query
+touches every layer of the serving path (quantize → address → gather →
+score), so a single digest comparison is an end-to-end known-answer
+check.
 
 Repair ladder
 -------------
@@ -68,8 +67,9 @@ _REBUILDABLE_FROM_COUNTERS = frozenset(
     {"class_vectors", "compressed", "prepared_classes", "common_direction", "keys"}
 )
 
-#: Names the canary checks report against (derived caches).
-_DERIVED_ARTIFACTS = ("prebound_table", "score_table")
+#: Names the canary checks report against (the encode kernel and the
+#: derived score table).
+_DERIVED_ARTIFACTS = ("encode", "score_table")
 
 
 class IntegrityError(RuntimeError):
@@ -154,10 +154,10 @@ class IntegrityGuard:
     include_derived:
         When ``False``, the guard covers authoritative state only — no
         derived-cache digests, no canaries.  Building (or even probing)
-        the derived specs *materialises* the pre-bound and score tables,
-        so a guard over an LRU-evicted fleet tenant must opt out or the
-        scrub loop would silently rebind every tenant the registry just
-        evicted, defeating the byte budget.  The
+        the derived specs *materialises* the score table, so a guard over
+        an LRU-evicted fleet tenant must opt out or the scrub loop would
+        silently rebind every tenant the registry just evicted, defeating
+        the byte budget.  The
         :class:`FleetScrubber` flips this per tenant as its binding
         state changes.
     """
@@ -200,12 +200,12 @@ class IntegrityGuard:
         (``None`` for state that never changes after fit); ``kind`` is
         ``"authoritative"`` or ``"derived"`` and selects the repair rung.
 
-        The derived caches are guarded by block digests *as well as*
+        The score table is guarded by block digests *as well as*
         canaries: canaries are the end-to-end known-answer check, but a
         handful of probe queries only touch a handful of table rows — a
         flip in a cold row hides from them indefinitely.  Digesting the
-        materialised cache sweeps every byte.  Recording the digests
-        forces the caches to materialise, which doubles as serving
+        materialised table sweeps every byte.  Recording the digests
+        forces the table to materialise, which doubles as serving
         warm-up; the digests stay valid across legitimate rebuilds
         (invalidation, kernel-backend switches) because rebuilds from
         intact authoritative state are bit-identical.
@@ -257,22 +257,20 @@ class IntegrityGuard:
                     None,
                     "authoritative",
                 )
-        if self.include_derived and not clf.serve_reference:
-            if clf.encoder.prebound_table is not None:
-                specs["prebound_table"] = (
-                    lambda: clf.encoder.prebound_table,
-                    None,
-                    "derived",
-                )
-            if clf.config.fused_inference and clf.fused_engine().enabled:
-                model_family = (
-                    "compressed_model" if clf.compressed_model is not None else "class_model"
-                )
-                specs["score_table"] = (
-                    lambda: clf.fused_engine().score_table,
-                    model_family,
-                    "derived",
-                )
+        if (
+            self.include_derived
+            and not clf.serve_reference
+            and clf.config.fused_inference
+            and clf.fused_engine().enabled
+        ):
+            model_family = (
+                "compressed_model" if clf.compressed_model is not None else "class_model"
+            )
+            specs["score_table"] = (
+                lambda: clf.fused_engine().score_table,
+                model_family,
+                "derived",
+            )
         return specs
 
     def _family_versions(self) -> dict:
@@ -342,17 +340,18 @@ class IntegrityGuard:
         self._record_canaries()
 
     def _canary_answers_now(self) -> dict:
-        """Known-answer digests over the derived serving path, as of now.
+        """Known-answer digests over the serving path, as of now.
 
-        Empty when derived coverage is off: even *running* a canary
-        encode would materialise the pre-bound table.
+        Empty when derived coverage is off: the guard then covers
+        authoritative state only, and running the score canary would
+        materialise the score table.
         """
         clf = self.clf
         answers = {}
         if not self.include_derived:
             return answers
         encoded = clf.encoder.encode_many(self._canary_features)
-        answers["prebound_table"] = hashlib.sha256(
+        answers["encode"] = hashlib.sha256(
             np.ascontiguousarray(encoded)
         ).hexdigest()
         if clf.config.fused_inference:
@@ -497,7 +496,6 @@ class IntegrityGuard:
         clf = self.clf
         if clf._fused_engine is not None:
             clf._fused_engine.invalidate()
-        clf.encoder.invalidate_prebound()
 
     def repair(self, error: IntegrityError) -> RepairReport:
         """Climb the repair ladder for one detected violation.

@@ -993,8 +993,8 @@ def run_loadgen(
     classifier = _fit_classifier(workload, data)
     test = np.asarray(data.test_features, dtype=np.float64)
     requests = test[np.arange(config.n_requests) % test.shape[0]]
-    # Warm the lazy tables (pre-bound encode table, fused score table) so
-    # both measured paths run steady-state, as a deployed model would.
+    # Warm the lazy score table so both measured paths run steady-state,
+    # as a deployed model would.
     classifier.predict(test[:1])
 
     # Sequential per-request baseline — also the bit-identical oracle.

@@ -20,10 +20,9 @@ the indirection that turns those single-model subsystems into a fleet:
 
 * **LRU table cache under a byte budget.**  The registered models
   themselves are cheap (counters + class vectors); the expensive part is
-  each model's *bound table set* — the pre-bound encode table and the
-  fused score table, tens of MB each at paper scale.  The registry keeps
-  bound table sets in an LRU keyed by serving recency, charged against
-  ``cache_budget_bytes``.  Publishing or lazily rebinding a tenant past
+  each model's *bound table set* — the fused score table, a few MB at
+  paper scale.  The registry keeps bound table sets in an LRU keyed by
+  serving recency, charged against ``cache_budget_bytes``.  Publishing or lazily rebinding a tenant past
   the budget evicts the least-recently-served tenants' tables
   (``serving.registry.evictions``); an evicted tenant stays registered
   and correct — its next request rebuilds the tables lazily

@@ -7,8 +7,8 @@ full pass with a :class:`~repro.streaming.sketch.QuantileSketch`: call
 the full-pass placement within the sketch's rank-error guarantee, using
 ``O(k log(n/k))`` memory regardless of stream length.
 
-Because downstream caches (the encoder's pre-bound table, fused score
-tables) bake the value → level map into their addressing, every boundary
+Because downstream caches (fused score tables) bake the value → level
+map into their addressing, every boundary
 refresh bumps :attr:`~repro.quantization.base.Quantizer.version` — the
 library-wide version-counter idiom — and :meth:`freeze` pins the
 boundaries so a serving deployment can keep ingesting sketch updates

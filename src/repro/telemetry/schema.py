@@ -8,7 +8,7 @@ Two levels:
 * :func:`validate_stats_payload` — the full ``repro stats`` report, which
   additionally must prove the pipeline's key signals were captured:
   fused-path hits, at least one budget fallback *with a reason label*,
-  score-table builds, and encoder path selection.  A stats run that lost
+  score-table builds, and encoder accumulator selection.  A stats run that lost
   any of these is exactly the silent-observability failure this subsystem
   exists to prevent, so the schema fails it loudly.
 """

@@ -1,9 +1,9 @@
 """The ``repro stats`` workload: exercise the pipeline, emit a snapshot.
 
 Runs a small, pinned-seed synthetic workload through every instrumented
-layer — counter training, fused inference, a forced budget fallback, a
-forced raw-table encoder path, online learning, and a persistence round
-trip — with telemetry enabled, then returns the schema-validated report.
+layer — counter training, fused inference, a forced budget fallback,
+encoding, online learning, and a persistence round trip — with
+telemetry enabled, then returns the schema-validated report.
 The point is not performance (that's ``repro bench``) but *coverage*: one
 command that proves every signal the telemetry layer claims to capture is
 actually being captured.
@@ -114,17 +114,12 @@ def run_stats_workload(workload: StatsWorkload | None = None) -> dict:
             warnings.simplefilter("ignore", FusedFallbackWarning)
             fallback_clf.predict(test_x[:8])
 
-        # 3. A zero-budget encoder: the raw-table (bind-on-the-fly) path.
-        clf.encoder.prebind_budget_bytes = 0
-        clf.encoder._prebound = None
-        clf.encoder.encode(test_x[:8])
-
-        # 4. Online learning + its histogram.
+        # 3. Online learning + its histogram.
         online = OnlineLookHD(clf.encoder, int(np.max(train_y)) + 1)
         online.partial_fit(train_x[:120], train_y[:120])
         online.predict(test_x[:8])
 
-        # 5. Persistence round trip (timers + checksum verifications).
+        # 4. Persistence round trip (timers + checksum verifications).
         with tempfile.TemporaryDirectory() as tmp:
             path = save_classifier(clf, Path(tmp) / "stats-model.npz")
             load_classifier(path)

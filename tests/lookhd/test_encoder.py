@@ -94,17 +94,14 @@ class TestLookupEncoder:
         assert np.array_equal(a.encode(sample), b.encode(sample))
 
     def test_single_sample_matches_batch_row(self):
-        # 1-D parity: encode(x) must be bit-identical to encode(X)[i] on
-        # both the pre-bound and the raw-table (bind-on-the-fly) paths.
+        # 1-D parity: encode(x) must be bit-identical to encode(X)[i].
         batch = np.random.default_rng(10).random((6, 12))
-        for prebind_budget in (2**30, 0):
-            encoder = make_encoder()
-            encoder.prebind_budget_bytes = prebind_budget
-            encoded_batch = encoder.encode(batch)
-            for index in range(batch.shape[0]):
-                single = encoder.encode(batch[index])
-                assert single.shape == (encoder.dim,)
-                assert np.array_equal(single, encoded_batch[index])
+        encoder = make_encoder()
+        encoded_batch = encoder.encode(batch)
+        for index in range(batch.shape[0]):
+            single = encoder.encode(batch[index])
+            assert single.shape == (encoder.dim,)
+            assert np.array_equal(single, encoded_batch[index])
 
 
 class TestEncoderPickling:
@@ -120,63 +117,147 @@ class TestEncoderPickling:
         assert np.array_equal(clone.encode(batch), expected)
         assert np.array_equal(clone.addresses(batch), encoder.addresses(batch))
 
-    def test_pickle_drops_prebound_cache(self):
-        # The lazy pre-bound table is a cache keyed by a module-level
-        # sentinel; it must not travel (the sentinel's identity does not
-        # survive pickling) and must rebuild on demand in the clone.
+    def test_pickle_round_trip_keeps_kernel_exact(self):
+        # The clone carries the accumulator bound of its own table: it
+        # encodes like the reference, and re-derives the bound when its
+        # table is replaced after the round trip.
         import pickle
 
         encoder = make_encoder()
         batch = np.random.default_rng(12).random((4, 12))
-        encoder.encode(batch)  # builds the pre-bound cache when in budget
+        encoder.encode(batch)  # derives the bound before pickling
         clone = pickle.loads(pickle.dumps(encoder))
-        assert clone.prebound_table is None or isinstance(clone.prebound_table, np.ndarray)
-        assert np.array_equal(clone.encode(batch), encoder.encode(batch))
+        assert clone.accumulator_dtype() == encoder.accumulator_dtype()
+        assert np.array_equal(clone.encode(batch), clone.encode_reference(batch))
+        clone.lookup_table.table = _extreme_table(clone.lookup_table.table.shape, 32767)
+        assert clone.accumulator_dtype() == np.int32
+        assert np.array_equal(clone.encode(batch), clone.encode_reference(batch))
 
 
-class TestPreboundBackendInvalidation:
-    def test_backend_switch_invalidates_prebound_cache(self):
-        # The pre-bound table is backend-derived state: a kernel backend
-        # switch must rebuild it (same version-counter idiom as the
-        # model/codebook caches), and encodes must stay bit-identical
-        # across the switch.
-        from repro import kernels
+def _extreme_table(shape, magnitude):
+    """An int16 table of identical rows: ±32767 alternating, or all −32768."""
+    if magnitude == 32768:
+        return np.full(shape, -32768, dtype=np.int16)
+    signs = np.where(np.arange(shape[1]) % 2 == 0, 1, -1)
+    return np.broadcast_to(signs * magnitude, shape).astype(np.int16)
 
-        mode = kernels.current_mode()
+
+def _aligned_encoder(n_chunks, table, bind_positions=True):
+    """An encoder that meets its bound: identical rows and all positions −1.
+
+    Every chunk then adds the same term to an element, so the sums reach
+    ``m × max|T|``; the −1 positions make binding a −32768 entry overflow
+    int16 on its own.
+    """
+    encoder = make_encoder(
+        n_features=n_chunks, chunk=1, levels=2, dim=table.shape[1], bind_positions=bind_positions
+    )
+    encoder.lookup_table.table = table
+    encoder.position_memory.vectors = -np.ones_like(encoder.position_memory.vectors)
+    return encoder
+
+
+class TestEncodeKernel:
+    @pytest.mark.parametrize(
+        ("n_chunks", "magnitude", "accumulator"),
+        [
+            (1, 32767, np.int16),  # m × max|T| = 32767: int16 exactly
+            (1, 32768, np.int32),  # −32768 alone: |T| itself overflows int16
+            (2, 32767, np.int32),  # 65534: past int16
+            (65537, 32768, np.int64),  # 2^31 + 2^15: past int32
+        ],
+    )
+    @pytest.mark.parametrize("bind_positions", [True, False])
+    def test_accumulator_regimes_match_reference(
+        self, n_chunks, magnitude, accumulator, bind_positions
+    ):
+        table = _extreme_table((2, 8), magnitude)
+        encoder = _aligned_encoder(n_chunks, table, bind_positions=bind_positions)
+        assert encoder.accumulator_dtype() == accumulator
+        batch = np.random.default_rng(20).random((3, n_chunks))
+        encoded = encoder.encode(batch)
+        assert encoded.dtype == np.int64
+        assert np.array_equal(encoded, encoder.encode_reference(batch))
+        assert np.abs(encoded).max() == n_chunks * magnitude
+
+    def test_random_int16_table_with_extremes_matches_reference(self):
+        encoder = make_encoder(n_features=12, chunk=2, levels=4, dim=64)
+        rng = np.random.default_rng(21)
+        table = rng.integers(-32768, 32768, size=encoder.lookup_table.table.shape)
+        table.reshape(-1)[:3] = (32767, -32767, -32768)
+        encoder.lookup_table.table = table.astype(np.int16)
+        assert encoder.accumulator_dtype() == np.int32
+        batch = rng.random((9, 12))
+        assert np.array_equal(encoder.encode(batch), encoder.encode_reference(batch))
+
+    @pytest.mark.parametrize("bind_positions", [True, False])
+    def test_batch_sizes_match_reference(self, bind_positions):
+        from repro.lookhd.encoder import BLOCK_BYTES
+
+        encoder = make_encoder(bind_positions=bind_positions)
+        itemsize = encoder.accumulator_dtype().itemsize
+        block = BLOCK_BYTES // (encoder.layout.n_chunks * encoder.dim * itemsize)
+        rng = np.random.default_rng(22)
+        for n_rows in (0, 1, 2 * block + 1):
+            batch = rng.random((n_rows, 12))
+            encoded = encoder.encode(batch)
+            assert encoded.shape == (n_rows, encoder.dim)
+            assert np.array_equal(encoded, encoder.encode_reference(batch))
+
+    def test_bound_rederived_when_table_replaced(self):
+        encoder = make_encoder()
+        batch = np.random.default_rng(23).random((5, 12))
+        encoder.encode(batch)  # bound taken from the int16-sized clean table
+        assert encoder.accumulator_dtype() == np.int16
+        encoder.lookup_table.table = _extreme_table(encoder.lookup_table.table.shape, 32767)
+        assert encoder.accumulator_dtype() == np.int32
+        assert np.array_equal(encoder.encode(batch), encoder.encode_reference(batch))
+
+    def test_concurrent_table_swaps_keep_bound_with_its_table(self):
+        # Serving threads encode while a table may be replaced: each caller
+        # must get the bound of the table it read, never one taken from the
+        # other table by a concurrent re-derivation.
+        import sys
+        import threading
+
+        encoder = make_encoder(n_features=12, chunk=2, levels=4, dim=64)
+        narrow = encoder.lookup_table.table
+        wide = _extreme_table(narrow.shape, 32767)
+        n_chunks = encoder.layout.n_chunks
+        wrong = []
+
+        def derive_loop():
+            for _ in range(3000):
+                for table, accumulator in ((narrow, np.int16), (wide, np.int32)):
+                    dtype = encoder._accumulator_for(table, n_chunks)
+                    if dtype != accumulator:
+                        wrong.append(dtype)
+
+        threads = [threading.Thread(target=derive_loop) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            encoder = make_encoder()
-            batch = np.random.default_rng(13).random((6, 12))
-            expected = encoder.encode(batch)
-            first = encoder.prebound_table
-            assert first is not None
-            assert encoder.prebound_table is first  # cached while backend stable
-            kernels.set_backend("numpy")
-            second = encoder.prebound_table
-            assert second is not first  # switch invalidated the cache
-            assert np.array_equal(second, first)  # ...but the bits agree
-            assert np.array_equal(encoder.encode(batch), expected)
-            kernels.set_backend("auto")
-            assert np.array_equal(encoder.encode(batch), expected)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
-            kernels.set_backend(mode)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
-    def test_version_tracked_across_pickle(self):
-        import pickle
+    def test_faulted_copy_matches_reference(self, small_dataset):
+        from repro.faults import FaultSpec, inject_classifier_faults
+        from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
 
-        from repro import kernels
-
-        mode = kernels.current_mode()
-        try:
-            encoder = make_encoder()
-            blob = pickle.dumps(encoder)
-            kernels.set_backend("numpy")  # version moves while pickled
-            clone = pickle.loads(blob)
-            # The clone re-reads the current version on unpickle, so its
-            # first prebound build is already against the new backend.
-            assert clone._prebound_backend_version == kernels.backend_version()
-            assert np.array_equal(
-                clone.encode(np.random.default_rng(14).random((3, 12))),
-                encoder.encode(np.random.default_rng(14).random((3, 12))),
-            )
-        finally:
-            kernels.set_backend(mode)
+        clf = LookHDClassifier(LookHDConfig(dim=256, levels=4, chunk_size=4, seed=1))
+        clf.fit(small_dataset.train_features, small_dataset.train_labels)
+        test = small_dataset.test_features
+        clf.encoder.encode(test)  # the clean copy's bound travels into the faulted one
+        faulted, _ = inject_classifier_faults(
+            clf, FaultSpec(ber=0.2, targets=("lookup_table", "positions"), seed=3)
+        )
+        table = faulted.encoder.lookup_table.table
+        assert table is not clf.encoder.lookup_table.table
+        assert np.array_equal(faulted.encoder.encode(test), faulted.encoder.encode_reference(test))
+        assert not np.array_equal(faulted.encoder.encode(test), clf.encoder.encode(test))

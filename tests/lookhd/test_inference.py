@@ -150,7 +150,6 @@ class TestFusedEquivalence:
     def test_unbound_positions_ablation_matches(self, dataset):
         clf = fit(dataset)
         clf.encoder.bind_positions = False
-        clf.encoder._prebound = None  # rebuilt lazily; ablation path
         engine = FusedInferenceEngine(clf.encoder, clf.compressed_model)
         assert np.allclose(
             engine.scores(dataset.test_features),
@@ -200,23 +199,8 @@ class TestFallbackObservability:
 
 
 class TestEncoderFastPath:
-    def test_encode_bit_identical_prebound(self, dataset):
+    def test_encode_bit_identical(self, dataset):
         clf = fit(dataset)
-        assert clf.encoder.prebound_table is not None
-        assert np.array_equal(
-            clf.encoder.encode(dataset.test_features),
-            clf.encoder.encode_reference(dataset.test_features),
-        )
-
-    def test_encode_bit_identical_over_budget(self, dataset):
-        from repro.lookhd import encoder as encoder_module
-
-        clf = fit(dataset)
-        # Shrink the budget and reset the lazy cache: the fused fallback
-        # (bind-on-the-fly, no (N, m, D) intermediate) must stay bit-exact.
-        clf.encoder.prebind_budget_bytes = 0
-        clf.encoder._prebound = encoder_module._UNSET
-        assert clf.encoder.prebound_table is None
         assert np.array_equal(
             clf.encoder.encode(dataset.test_features),
             clf.encoder.encode_reference(dataset.test_features),

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
-from repro.lookhd.retraining import retrain_compressed
+from repro.lookhd.retraining import RetrainTrace, retrain_compressed
 
 
 def fit_base(small_dataset, seed=0):
@@ -162,3 +164,69 @@ class TestBestStateRestore:
         after_fused = clf.predict(test)
         np.testing.assert_array_equal(after_fused, before_fused)
         np.testing.assert_array_equal(after_fused, clf.predict_reference(test))
+
+
+def _two_predict_retrain(model, encoded, labels, iterations):
+    """The retraining loop with a separate selection predict per pass.
+
+    Kept here as the oracle: it scores the training set twice per pass on
+    the same unchanged model and hands the int64 rows to every predict
+    and update, as the library did before the passes shared predictions.
+    """
+    trace = RetrainTrace()
+    best_accuracy, best_state = -1.0, None
+
+    def selection_accuracy():
+        return float(np.mean(np.atleast_1d(model.predict(encoded)) == labels))
+
+    for _ in range(iterations):
+        accuracy_now = selection_accuracy()
+        if accuracy_now > best_accuracy:
+            best_accuracy = accuracy_now
+            best_state = (model.compressed.copy(), model.prepared_classes.copy())
+        predictions = np.atleast_1d(model.predict(encoded))
+        wrong = np.flatnonzero(predictions != labels)
+        for index in wrong:
+            model.retrain_update(int(labels[index]), int(predictions[index]), encoded[index])
+        trace.updates_per_iteration.append(int(wrong.size))
+        trace.train_accuracy.append(float(np.mean(predictions == labels)))
+    if iterations > 0 and best_state is not None and selection_accuracy() < best_accuracy:
+        model.compressed, model.prepared_classes = best_state
+        model.mark_dirty()
+    return trace
+
+
+class TestScoringPasses:
+    def test_one_predict_per_pass(self, small_dataset, monkeypatch):
+        clf, encoded = fit_base(small_dataset)
+        model = clf.compressed_model
+        seen = []
+        predict = model.predict
+
+        def counting_predict(queries):
+            seen.append(np.asarray(queries).dtype)
+            return predict(queries)
+
+        monkeypatch.setattr(model, "predict", counting_predict)
+        trace = retrain_compressed(
+            model, encoded, _thrash_labels(small_dataset), iterations=4,
+            stop_when_clean=False,
+        )
+        # One predict per pass plus the final best-state check, each on
+        # the set converted to float64 once.
+        assert len(seen) == trace.iterations + 1 == 5
+        assert all(dtype == np.float64 for dtype in seen)
+
+    def test_matches_two_predict_loop(self, small_dataset):
+        clf, encoded = fit_base(small_dataset)
+        labels = _thrash_labels(small_dataset)
+        oracle_model = copy.deepcopy(clf.compressed_model)
+        expected = _two_predict_retrain(oracle_model, encoded, labels, iterations=6)
+        trace = retrain_compressed(
+            clf.compressed_model, encoded, labels, iterations=6, stop_when_clean=False
+        )
+        assert trace.total_updates > 0
+        assert trace == expected
+        model = clf.compressed_model
+        assert model.compressed.tobytes() == oracle_model.compressed.tobytes()
+        assert model.prepared_classes.tobytes() == oracle_model.prepared_classes.tobytes()

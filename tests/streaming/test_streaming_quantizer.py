@@ -203,20 +203,6 @@ class TestCacheInvalidation:
         sq.partial_fit(rng.normal(loc=30.0, size=(500, 12)))
         assert encoder.encoding_version > before
 
-    def test_prebound_table_dropped_on_boundary_move(self, rng):
-        sq = StreamingQuantizer(levels=4)
-        sq.partial_fit(rng.normal(size=(100, 12)))
-        encoder = _encoder(sq)
-        built = encoder.prebound_table
-        assert built is not None
-        assert encoder.prebound_table is built  # cached while boundaries hold
-        sq.partial_fit(rng.normal(loc=30.0, size=(500, 12)))
-        # The pre-bound cache baked the old value->level map: the next
-        # access must hand back a freshly built table, not the stale one.
-        rebuilt = encoder.prebound_table
-        assert rebuilt is not None
-        assert rebuilt is not built
-
     def test_fused_engine_rebuilds_and_predictions_follow(self, rng):
         sq = StreamingQuantizer(levels=4)
         train = rng.normal(size=(300, 12))

@@ -36,10 +36,9 @@ class TestStatsWorkload:
         # forced a rebuild — the staleness bug class PR 1 fixed.
         assert counters["inference.score_table.builds{trigger=version_change}"] >= 1
 
-    def test_captures_both_encoder_paths(self, stats_payload):
+    def test_captures_encoder_accumulator(self, stats_payload):
         counters = stats_payload["telemetry"]["counters"]
-        assert counters["encoder.encode.batches{path=prebound}"] >= 1
-        assert counters["encoder.encode.batches{path=raw_table}"] >= 1
+        assert counters["encoder.encode.batches{accumulator=int16}"] >= 1
 
     def test_captures_online_and_persistence(self, stats_payload):
         telemetry_block = stats_payload["telemetry"]

@@ -46,14 +46,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.bench.kernel_bench import build_kernels_block
 from repro.bench.schema import SCHEMA_VERSION, validate_bench_payload
-from repro.bench.workloads import (
-    BenchWorkload,
-    is_kernel_profile,
-    is_scaling_profile,
-    profile_workloads,
-)
+from repro.bench.workloads import BenchWorkload, is_scaling_profile, profile_workloads
 from repro.hdc.model import ClassModel
 from repro.hdc.ops import ACCUM_DTYPE
 from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
@@ -426,48 +420,15 @@ def run_training_scaling_bench(
     return validate_bench_payload(payload, "training")
 
 
-def run_kernel_bench(
-    workloads: tuple[BenchWorkload, ...],
-    repeats: int = DEFAULT_REPEATS,
-    profile: str = "custom",
-    n_workers: int | None = 1,
-) -> dict:
-    """Inference bench + per-primitive kernel backend timings.
-
-    Produces the standard inference payload with an additional top-level
-    ``kernels`` block (see :func:`repro.bench.kernel_bench.build_kernels_block`)
-    timing each registry primitive on every available backend at the
-    first workload's scale.  The block's ``checks.kernel_outputs_match``
-    is the CI gate: every compiled backend must be bit-identical to the
-    NumPy reference.  Speedups are recorded but never gated — they are
-    hardware-dependent (PR 5 convention).
-    """
-    payload = run_inference_bench(
-        workloads, repeats=repeats, profile=profile, n_workers=n_workers
-    )
-    payload["kernels"] = build_kernels_block(workloads[0], repeats=repeats)
-    return validate_bench_payload(payload, "inference")
-
-
 def run_bench_profile(
     profile: str, repeats: int = DEFAULT_REPEATS, n_workers: int | None = 1
 ) -> tuple[dict, dict]:
-    """Run both benchmark kinds for a named (non-scaling) profile.
-
-    Kernel profiles (see :data:`repro.bench.workloads.KERNEL_PROFILES`)
-    run the same two benches with the inference payload augmented by the
-    per-primitive ``kernels`` block.
-    """
+    """Run both benchmark kinds for a named (non-scaling) profile."""
     workloads = profile_workloads(profile)
     training = run_training_bench(workloads, repeats=repeats, profile=profile, n_workers=n_workers)
-    if is_kernel_profile(profile):
-        inference = run_kernel_bench(
-            workloads, repeats=repeats, profile=profile, n_workers=n_workers
-        )
-    else:
-        inference = run_inference_bench(
-            workloads, repeats=repeats, profile=profile, n_workers=n_workers
-        )
+    inference = run_inference_bench(
+        workloads, repeats=repeats, profile=profile, n_workers=n_workers
+    )
     return training, inference
 
 
@@ -528,19 +489,4 @@ def write_bench_files(
                         f"(bit-identical: {point['outputs_match']})",
                         file=stream,
                     )
-        kernels_block = payload.get("kernels")
-        if kernels_block:
-            print(
-                f"[kernels] mode={kernels_block['mode']} "
-                f"numba_available={kernels_block['numba_available']} "
-                f"(outputs match: {kernels_block['checks']['kernel_outputs_match']})",
-                file=stream,
-            )
-            for op, primitive in sorted(kernels_block["primitives"].items()):
-                print(
-                    f"  {op}: best={primitive['best_backend']} "
-                    f"{primitive['speedup_vs_numpy']:.2f}x vs numpy "
-                    f"(bit-identical: {primitive['bit_identical']})",
-                    file=stream,
-                )
     return training_path, inference_path

@@ -120,67 +120,6 @@ def _check_scaling(label: str, scaling: object, checks: dict) -> None:
     )
 
 
-def _check_kernels(block: object) -> None:
-    """Validate the optional top-level ``kernels`` block (kernel profiles).
-
-    The block is inference-only and carries the bit-identity gate: every
-    primitive's ``bit_identical`` flag and the aggregate
-    ``checks.kernel_outputs_match`` must be True — a compiled backend
-    producing different bits invalidates the artifact.  Speedup fields
-    are validated for shape only, never thresholded (hardware-dependent).
-    """
-    _require(isinstance(block, dict), "kernels block must be an object")
-    _require(isinstance(block.get("mode"), str), "kernels.mode must be a string")
-    _require(
-        isinstance(block.get("numba_available"), bool),
-        "kernels.numba_available must be a bool",
-    )
-    active = block.get("active_backends")
-    _require(isinstance(active, dict) and active, "kernels.active_backends must be a non-empty object")
-    for op, backend in active.items():
-        _require(
-            isinstance(backend, str),
-            f"kernels.active_backends[{op!r}] must be a backend name",
-        )
-    primitives = block.get("primitives")
-    _require(
-        isinstance(primitives, dict) and primitives,
-        "kernels.primitives must be a non-empty object",
-    )
-    for op, primitive in primitives.items():
-        where = f"kernels.primitives[{op!r}]"
-        _require(isinstance(primitive, dict), f"{where} must be an object")
-        backends = primitive.get("backends")
-        _require(
-            isinstance(backends, dict) and "numpy" in backends,
-            f"{where}.backends must include the numpy reference",
-        )
-        for name, stanza in backends.items():
-            _require(isinstance(stanza, dict), f"{where}.backends[{name!r}] must be an object")
-            _check_number(
-                f"{where}.backends[{name!r}].seconds_median",
-                stanza.get("seconds_median"),
-                minimum=0,
-            )
-        _require(
-            primitive.get("best_backend") in backends,
-            f"{where}.best_backend must name a timed backend",
-        )
-        _check_number(f"{where}.speedup_vs_numpy", primitive.get("speedup_vs_numpy"), minimum=0)
-        _require(
-            primitive.get("bit_identical") is True,
-            f"{where} compiled backend diverged from the NumPy reference "
-            "(bit_identical must be True)",
-        )
-    checks = block.get("checks")
-    _require(isinstance(checks, dict), "kernels.checks must be an object")
-    _require(
-        checks.get("kernel_outputs_match") is True,
-        "kernels.checks.kernel_outputs_match must be True "
-        "(compiled backends must be bit-identical to the reference)",
-    )
-
-
 def validate_bench_payload(payload: object, benchmark: str | None = None) -> dict:
     """Validate a loaded ``BENCH_*.json`` payload; returns it on success.
 
@@ -253,12 +192,4 @@ def validate_bench_payload(payload: object, benchmark: str | None = None) -> dic
             validate_snapshot(payload["telemetry"])
         except ValueError as error:
             _require(False, f"telemetry block invalid: {error}")
-    # Optional: only the kernel profiles embed it, and only in inference
-    # payloads.  When present it must pass the bit-identity gate.
-    if "kernels" in payload:
-        _require(
-            kind == "inference",
-            "kernels block belongs in the inference payload only",
-        )
-        _check_kernels(payload["kernels"])
     return payload

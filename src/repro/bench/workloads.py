@@ -102,18 +102,11 @@ _SMOKE = (
 #: the smoke variant is CI-sized.
 SCALING_PROFILES = ("training-scaling", "training-scaling-smoke")
 
-#: Profiles whose bench run additionally times each kernel-registry
-#: primitive per backend and embeds the ``kernels`` block (backend,
-#: speedup-vs-numpy, bit-identity gate) in ``BENCH_inference.json``.
-KERNEL_PROFILES = ("kernels", "kernels-smoke")
-
 _PROFILES = {
     "full": _FULL,
     "smoke": _SMOKE,
     "training-scaling": _FULL,
     "training-scaling-smoke": _SMOKE,
-    "kernels": _FULL,
-    "kernels-smoke": _SMOKE,
 }
 
 
@@ -124,11 +117,6 @@ def profile_names() -> tuple[str, ...]:
 def is_scaling_profile(profile: str) -> bool:
     """Whether a profile runs the worker-count scaling bench."""
     return profile in SCALING_PROFILES
-
-
-def is_kernel_profile(profile: str) -> bool:
-    """Whether a profile runs the per-primitive kernel backend bench."""
-    return profile in KERNEL_PROFILES
 
 
 def profile_workloads(profile: str) -> tuple[BenchWorkload, ...]:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.hdc.ops import BIPOLAR_DTYPE
+from repro.kernels import packed_popcount
 from repro.utils.validation import check_positive_int
 
 _WORD_BITS = 64
@@ -76,17 +76,6 @@ def xor_bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~(np.asarray(a, dtype=np.uint64) ^ np.asarray(b, dtype=np.uint64))
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Per-row population count of ``(…, W)`` uint64 words.
-
-    Routed through the kernel registry's ``packed_popcount`` primitive,
-    which owns the NumPy ≥ 2 ``np.bitwise_count`` feature check (one
-    check at import, in :mod:`repro.kernels.reference`) and the tested
-    256-entry byte-LUT fallback for older NumPy.
-    """
-    return kernels.packed_popcount(words)
-
-
 def hamming_matches(query: np.ndarray, keys: np.ndarray, dim: int) -> np.ndarray:
     """Number of matching elements between packed vectors.
 
@@ -104,7 +93,7 @@ def hamming_matches(query: np.ndarray, keys: np.ndarray, dim: int) -> np.ndarray
     if pad:
         last_mask = np.uint64((1 << (_WORD_BITS - pad)) - 1)
         diff[..., -1] &= last_mask
-    return dim - _popcount(diff)
+    return dim - packed_popcount(diff)
 
 
 class PackedAssociativeMemory:

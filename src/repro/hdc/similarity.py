@@ -77,7 +77,7 @@ def hamming_similarity(query: np.ndarray, keys: np.ndarray) -> np.ndarray:
     identical, 0.5 is the expectation for independent random vectors.
 
     Strictly ±1 inputs take a bit-packed fast path: pack once, XOR, and
-    count matches with the kernel registry's ``packed_popcount``
+    count matches with the :func:`~repro.kernels.packed_popcount`
     primitive — 64 elements per word instead of one comparison per
     element.  The match count divided by ``D`` equals the elementwise
     mean exactly (both are an integer ≤ D over D in float64), so the

@@ -1,115 +1,27 @@
-"""Primitive registry for the lookup-domain hot paths.
+"""The lookup-domain primitives LookHD reduces HD learning to.
 
-The paper's pitch is that LookHD reduces HD learning to a handful of
-cheap hardware primitives.  This package makes that explicit in the
-software reproduction: the five batched hot-path primitives (quantized
-chunk addressing, counter observe/materialise, fused score-table
-gather-accumulate, packed popcount, compressed-model scoring) are
-defined once as NumPy references (:mod:`repro.kernels.reference`) and
-optionally served by a compiled Numba backend
-(:mod:`repro.kernels.numba_backend`), selected via the
-``REPRO_KERNEL_BACKEND`` env var or :func:`set_backend` and verified
-bit-identical before use (:mod:`repro.kernels.registry`).
+Chunk addressing, counter observe/materialise, table gather-accumulate
+and packed popcount, each defined once in NumPy in
+:mod:`repro.kernels.reference` and re-exported here, so callers write::
 
-Callers use the module-level ops and never see the backend::
+    from repro.kernels import chunk_addresses, gather_accumulate
 
-    from repro import kernels
-
-    addresses = kernels.chunk_addresses(levels, q, r, m)
-    scores = kernels.gather_accumulate(score_table, addresses)
-
-Every call increments ``kernels.dispatch{primitive=,backend=}`` on the
-active telemetry registry, and :func:`active_backends` reports what is
-actually serving each primitive.
+    addresses = chunk_addresses(levels, q, r, m)
+    scores = gather_accumulate(score_table, addresses)
 """
 
-from __future__ import annotations
-
-import numpy as np
-
-from repro.kernels import registry
 from repro.kernels.reference import (
-    BITWISE_COUNT,
-    OP_NAMES,
-    POPCOUNT_LUT,
-    REFERENCE_OPS,
-    popcount_lut,
-    probe_inputs,
-)
-from repro.kernels.registry import (
-    BACKEND_ENV_VAR,
-    BACKEND_MODES,
-    KernelBackendWarning,
-    active_backends,
-    backend_impl,
-    backend_version,
-    current_mode,
-    demotions,
-    describe,
-    register_backend_factory,
-    set_backend,
-    verify_candidate,
+    chunk_addresses,
+    counter_materialize,
+    counter_observe,
+    gather_accumulate,
+    packed_popcount,
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BACKEND_MODES",
-    "BITWISE_COUNT",
-    "KernelBackendWarning",
-    "OP_NAMES",
-    "POPCOUNT_LUT",
-    "REFERENCE_OPS",
-    "active_backends",
-    "backend_impl",
-    "backend_version",
     "chunk_addresses",
-    "compressed_score",
     "counter_materialize",
     "counter_observe",
-    "current_mode",
-    "demotions",
-    "describe",
     "gather_accumulate",
     "packed_popcount",
-    "popcount_lut",
-    "probe_inputs",
-    "register_backend_factory",
-    "set_backend",
-    "verify_candidate",
 ]
-
-
-def chunk_addresses(
-    levels: np.ndarray, q: int, chunk_size: int, n_chunks: int, pad_level: int = 0
-) -> np.ndarray:
-    """``(N, n)`` quantized levels → ``(N, m)`` int64 chunk addresses."""
-    return registry.dispatch("chunk_addresses", levels, q, chunk_size, n_chunks, pad_level)
-
-
-def counter_observe(addresses: np.ndarray, n_chunks: int, n_rows: int) -> np.ndarray:
-    """Histogram a ``(N, m)`` address batch into ``(m, q^r)`` int64 counts."""
-    return registry.dispatch("counter_observe", addresses, n_chunks, n_rows)
-
-
-def counter_materialize(
-    counts: np.ndarray, table: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
-    """Counters × lookup table × positions → the ``(D,)`` class hypervector."""
-    return registry.dispatch("counter_materialize", counts, table, positions)
-
-
-def gather_accumulate(
-    table: np.ndarray, addresses: np.ndarray, out_dtype=np.float64
-) -> np.ndarray:
-    """Fused gather+sum ``out[n] = Σ_c table[c, addresses[n, c]]``."""
-    return registry.dispatch("gather_accumulate", table, addresses, out_dtype)
-
-
-def packed_popcount(words: np.ndarray) -> np.ndarray:
-    """Per-row population count of ``(…, W)`` uint64 words → ``(…,)`` int64."""
-    return registry.dispatch("packed_popcount", words)
-
-
-def compressed_score(queries: np.ndarray, search_matrix: np.ndarray) -> np.ndarray:
-    """Compressed-model search GEMM: ``(N, D) @ (k, D).T`` → ``(N, k)``."""
-    return registry.dispatch("compressed_score", queries, search_matrix)

@@ -1,45 +1,30 @@
-"""NumPy reference implementations of the batched hot-path primitives.
+"""NumPy definitions of the batched lookup-domain primitives.
 
-These are the *semantic definitions* of the kernel registry's primitives:
-every compiled backend must reproduce them bit for bit (enforced by the
-registry's probe verification and by ``tests/kernels``).  They are also
-the always-available fallback, so the library works — at NumPy speed —
-on any machine, with no optional dependency installed.
+LookHD reduces HD learning to a handful of cheap primitives (Sec. III–IV,
+Figs. 5–6): chunk addressing, counter observe/materialise, table
+gather-accumulate and packed popcount.  Each is defined here, once, and
+called directly by :mod:`repro.lookhd.chunking`,
+:mod:`repro.lookhd.counters`, :mod:`repro.lookhd.inference` and
+:mod:`repro.hdc.bitpacked`.
 
 Each primitive is batched: one call per training batch, inference batch,
-or materialisation, never per sample.  Floating-point primitives fix
-their accumulation order (chunk-major, as the pre-registry code already
-did), which is what makes bit-identical compiled backends possible at
-all — a backend that reassociates float additions cannot pass the gates
-and is demoted by the registry.
+or materialisation, never per sample.  :func:`gather_accumulate` fixes
+its float accumulation order (chunk-major), which is what makes fused
+scores bit-reproducible: identical across score-table rebuilds, and
+identical to exact scoring for the rows approximate scoring refines.
 
-Popcount centralisation
------------------------
+Popcount
+--------
 The NumPy >= 2.0 ``np.bitwise_count`` feature check lives here, once, at
 import time — :func:`packed_popcount` picks the hardware ufunc when the
 running NumPy has it and the 256-entry byte LUT otherwise.  Both produce
-identical integers, and both stay importable/testable regardless of the
-NumPy version (:func:`popcount_lut` is always exercised by the kernel
-tests even when ``bitwise_count`` exists).
+identical integers, and :func:`popcount_lut` stays importable and tested
+regardless of the NumPy version.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Ordered names of the registry's primitives.  ``counter_observe`` and
-#: ``counter_materialize`` are the two halves of the paper's counter
-#: primitive; together the six ops cover the five hot-path primitives of
-#: the lookup-domain pipeline (addressing, counters, fused scoring,
-#: packed popcount, compressed scoring).
-OP_NAMES = (
-    "chunk_addresses",
-    "counter_observe",
-    "counter_materialize",
-    "gather_accumulate",
-    "packed_popcount",
-    "compressed_score",
-)
 
 
 def chunk_addresses(
@@ -122,8 +107,9 @@ def gather_accumulate(
     ``(m, q^r, k)`` float64 score table, ``out`` the per-class scores.
 
     Accumulation is chunk-major per output element (``c = 0, 1, …``), so
-    the float variant is deterministic and compiled backends can match it
-    bit for bit.
+    the float variant is deterministic, and a caller that continues the
+    same loop over further chunks (approximate scoring's refinement)
+    reproduces the full sum bit for bit.
     """
     addresses = np.asarray(addresses)
     out = np.zeros((addresses.shape[0], table.shape[2]), dtype=out_dtype)
@@ -146,77 +132,8 @@ def popcount_lut(words: np.ndarray) -> np.ndarray:
     return POPCOUNT_LUT[as_bytes].sum(axis=-1, dtype=np.int64)
 
 
-def popcount_bitwise_count(words: np.ndarray) -> np.ndarray:
-    """Per-row popcount via ``np.bitwise_count`` (NumPy >= 2 only)."""
-    if BITWISE_COUNT is None:
-        raise RuntimeError("np.bitwise_count is unavailable on this NumPy")
-    return BITWISE_COUNT(words).sum(axis=-1, dtype=np.int64)
-
-
 def packed_popcount(words: np.ndarray) -> np.ndarray:
     """Per-row population count of ``(…, W)`` uint64 words → ``(…,)`` int64."""
     if BITWISE_COUNT is not None:
         return BITWISE_COUNT(words).sum(axis=-1, dtype=np.int64)
     return popcount_lut(words)
-
-
-def compressed_score(queries: np.ndarray, search_matrix: np.ndarray) -> np.ndarray:
-    """Compressed-model search: ``(N, D) @ (k, D).T`` → ``(N, k)`` scores.
-
-    One BLAS GEMM — already a compiled kernel.  A JIT backend is only
-    accepted by the registry if it reproduces the exact GEMM bits (it
-    must route to the same BLAS); a reassociating loop is demoted.
-    """
-    return queries @ search_matrix.T
-
-
-REFERENCE_OPS = {name: globals()[name] for name in OP_NAMES}
-
-
-def probe_inputs(op: str) -> list[tuple]:
-    """Deterministic probe argument tuples for backend verification.
-
-    Small enough to run in microseconds, shaped to cover the dtype and
-    geometry corners each primitive meets in production (padding, empty
-    counts, int and float tables, all-ones/zeros words, a paper-scale
-    GEMM for :func:`compressed_score`).
-    """
-    rng = np.random.default_rng(0xC0DE)
-    if op == "chunk_addresses":
-        return [
-            (rng.integers(0, 4, size=(7, 11), dtype=np.int64), 4, 3, 4, 0),
-            (rng.integers(0, 2, size=(5, 8), dtype=np.int64), 2, 4, 2, 0),
-            (rng.integers(0, 6, size=(3, 5), dtype=np.int64), 6, 2, 3, 1),
-        ]
-    if op == "counter_observe":
-        return [
-            (rng.integers(0, 16, size=(50, 6), dtype=np.int64), 6, 16),
-            (np.zeros((0, 4), dtype=np.int64), 4, 8),
-        ]
-    if op == "counter_materialize":
-        dense = rng.integers(0, 9, size=(4, 16)).astype(np.int64)
-        sparse = np.zeros((4, 16), dtype=np.int64)
-        sparse[1, 3] = 17
-        sparse[3, 12] = 2
-        table = rng.integers(-5, 6, size=(16, 32)).astype(np.int64)
-        positions = rng.choice([-1, 1], size=(4, 32)).astype(np.int64)
-        return [(dense, table, positions), (sparse, table, positions)]
-    if op == "gather_accumulate":
-        addresses = rng.integers(0, 16, size=(9, 5), dtype=np.int64)
-        float_table = rng.standard_normal((5, 16, 7))
-        int_table = rng.integers(-4, 5, size=(5, 16, 7)).astype(np.int16)
-        return [
-            (float_table, addresses, np.float64),
-            (int_table, addresses, np.int64),
-        ]
-    if op == "packed_popcount":
-        words = rng.integers(0, 2**63, size=(9, 5), dtype=np.uint64)
-        words[0, 0] = 0
-        words[1, 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        return [(words,), (words[0],)]
-    if op == "compressed_score":
-        return [
-            (rng.standard_normal((64, 256)), rng.standard_normal((13, 256))),
-            (rng.standard_normal((128, 2000)), rng.standard_normal((26, 2000))),
-        ]
-    raise ValueError(f"unknown kernel op {op!r}")

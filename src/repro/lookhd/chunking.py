@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
+from repro.kernels import chunk_addresses
 from repro.utils.validation import check_2d, check_positive_int
 
 
@@ -81,18 +81,17 @@ class ChunkLayout:
     def addresses(self, levels: np.ndarray, q: int, pad_level: int = 0) -> np.ndarray:
         """Fused pad + chunk + base-``q`` addressing: ``(N, n)`` → ``(N, m)``.
 
-        Routed through the kernel registry's ``chunk_addresses`` primitive;
-        bit-identical to ``chunk_addresses(self.split_levels(levels), q)``
-        without materialising the ``(N, m, r)`` intermediate.
+        The :func:`~repro.kernels.chunk_addresses` primitive; bit-identical
+        to :func:`repro.quantization.codebook.chunk_addresses` over
+        ``self.split_levels(levels)`` without materialising the
+        ``(N, m, r)`` intermediate.
         """
         levels = check_2d(levels, "levels")
         if levels.shape[1] != self.n_features:
             raise ValueError(
                 f"expected {self.n_features} features, got {levels.shape[1]}"
             )
-        return kernels.chunk_addresses(
-            levels, q, self.chunk_size, self.n_chunks, pad_level
-        )
+        return chunk_addresses(levels, q, self.chunk_size, self.n_chunks, pad_level)
 
     def describe(self) -> str:
         """Human-readable layout summary for reports and examples."""

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.hdc.item_memory import RandomItemMemory
 from repro.hdc.model import ClassModel
 from repro.hdc.similarity import cosine_similarity, normalize_rows
@@ -194,7 +193,7 @@ class CompressedModel:
             queries = queries[np.newaxis, :]
         if queries.shape[1] != self.dim:
             raise ValueError(f"queries must have dimension {self.dim}")
-        out = kernels.compressed_score(queries, self.search_matrix)
+        out = queries @ self.search_matrix.T
         return out[0] if single else out
 
     def scores_reference(self, queries: np.ndarray) -> np.ndarray:

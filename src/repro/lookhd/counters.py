@@ -19,7 +19,8 @@ import hashlib
 
 import numpy as np
 
-from repro import kernels, telemetry
+from repro import telemetry
+from repro.kernels import counter_materialize, counter_observe
 from repro.utils.validation import check_positive_int
 
 
@@ -129,10 +130,7 @@ class ChunkCounters:
             )
         if addresses.size and (addresses.min() < 0 or addresses.max() >= self.n_rows):
             raise ValueError(f"addresses must be in [0, {self.n_rows})")
-        # The registry's counter_observe primitive: the whole batch is
-        # histogrammed in one pass (bincount on the reference backend, a
-        # parallel per-chunk loop on the compiled one — exact either way).
-        batch_counts = kernels.counter_observe(addresses, self.n_chunks, self.n_rows)
+        batch_counts = counter_observe(addresses, self.n_chunks, self.n_rows)
         self._ensure_headroom(int(batch_counts.max(initial=0)), "observe")
         self.counts += batch_counts.astype(self.counts.dtype, copy=False)
         self.n_samples += addresses.shape[0]
@@ -158,12 +156,11 @@ class ChunkCounters:
             raise ValueError("table row count mismatch")
         if positions.shape != (self.n_chunks, table.shape[1]):
             raise ValueError("positions shape mismatch")
-        # The registry's counter_materialize primitive — all int64, so any
-        # backend's evaluation order is exact; the reference skips zero
-        # counter rows when occupancy is low (a class typically touches
-        # far fewer than q^r addresses per chunk), the factorisation that
+        # All int64, so the evaluation order is exact; zero counter rows
+        # are skipped when occupancy is low (a class typically touches far
+        # fewer than q^r addresses per chunk), the factorisation that
         # makes counter training cheap.
-        return kernels.counter_materialize(self.counts, table, positions)
+        return counter_materialize(self.counts, table, positions)
 
     def merge(self, other: "ChunkCounters") -> None:
         """Fold another counter set into this one (distributed training).

@@ -167,21 +167,25 @@ class LookupEncoder:
         int64.
         """
         addresses = np.asarray(addresses)
+        encoded = np.empty((addresses.shape[0], self.dim), dtype=ACCUM_DTYPE)
+        self._encode_into(addresses, encoded)
+        return encoded
+
+    def _encode_into(self, addresses: np.ndarray, out: np.ndarray) -> None:
+        """The encode kernel: write the encodings of ``addresses`` into ``out``."""
         table = self.lookup_table.table
         n_rows, n_chunks = addresses.shape
         dtype = self._accumulator_for(table, n_chunks)
-        encoded = np.empty((n_rows, self.dim), dtype=ACCUM_DTYPE)
         positions = self.position_memory.vectors.astype(dtype) if self.bind_positions else None
         block = max(1, BLOCK_BYTES // (n_chunks * self.dim * dtype.itemsize))
         for start in range(0, n_rows, block):
             chunk_hvs = table[addresses[start : start + block]].astype(dtype, copy=False)
             if positions is not None:
                 chunk_hvs *= positions
-            encoded[start : start + block] = chunk_hvs.sum(axis=1, dtype=dtype)
+            out[start : start + block] = chunk_hvs.sum(axis=1, dtype=dtype)
         telemetry.count("encoder.encode.batches", accumulator=dtype.name)
         telemetry.count("encoder.encode.samples", n_rows)
-        telemetry.count("encoder.encode.bytes", encoded.nbytes)
-        return encoded
+        telemetry.count("encoder.encode.bytes", out.nbytes)
 
     def encode_reference(self, features: np.ndarray) -> np.ndarray:
         """Reference Eq. 3 path: materialises the ``(N, m, D)`` intermediate.
@@ -200,12 +204,13 @@ class LookupEncoder:
     def encode_many(self, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
         """Encode a large dataset in memory-bounded batches.
 
-        The output is preallocated once and filled in place, so peak memory
-        stays at one output array plus one ``(batch_size, D)`` working set.
+        The output is preallocated once and each batch is encoded straight
+        into its slice, so peak memory stays at one output array plus one
+        batch's quantize/address temporaries and kernel slab.
         """
         batch = check_2d(features, "features")
         encoded = np.empty((batch.shape[0], self.dim), dtype=ACCUM_DTYPE)
         for start in range(0, batch.shape[0], batch_size):
             stop = min(start + batch_size, batch.shape[0])
-            encoded[start:stop] = self.encode_addresses(self.addresses(batch[start:stop]))
+            self._encode_into(self.addresses(batch[start:stop]), encoded[start:stop])
         return encoded

@@ -39,8 +39,9 @@ import warnings
 
 import numpy as np
 
-from repro import kernels, telemetry
+from repro import telemetry
 from repro.hdc.model import ClassModel
+from repro.kernels import gather_accumulate
 from repro.lookhd.compression import CompressedModel
 from repro.lookhd.encoder import LookupEncoder
 
@@ -249,7 +250,7 @@ class FusedInferenceEngine:
         addresses = np.asarray(addresses)
         n_chunks = addresses.shape[1]
         if approx is None or approx >= 1.0 or n_chunks == 0:
-            out = kernels.gather_accumulate(table, addresses, np.float64)
+            out = gather_accumulate(table, addresses, np.float64)
             telemetry.count("inference.fused.queries", out.shape[0])
             telemetry.count("inference.fused.batches")
             return out
@@ -257,7 +258,7 @@ class FusedInferenceEngine:
         # chunk-major, so a row later refined over chunks [k0, m) ends up
         # bit-identical to full scoring.
         k0 = max(1, int(np.ceil(approx * n_chunks)))
-        out = kernels.gather_accumulate(table[:k0], addresses[:, :k0], np.float64)
+        out = gather_accumulate(table[:k0], addresses[:, :k0], np.float64)
         refined = 0
         if approx_margin > 0.0 and k0 < n_chunks and out.shape[0]:
             top2 = np.partition(out, out.shape[1] - 2, axis=1)[:, -2:] if out.shape[1] > 1 else None

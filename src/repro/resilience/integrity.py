@@ -152,14 +152,15 @@ class IntegrityGuard:
     seed:
         Seed for the synthesised canaries (deterministic per guard).
     include_derived:
-        When ``False``, the guard covers authoritative state only — no
-        derived-cache digests, no canaries.  Building (or even probing)
-        the derived specs *materialises* the score table, so a guard over
-        an LRU-evicted fleet tenant must opt out or the scrub loop would
-        silently rebind every tenant the registry just evicted, defeating
-        the byte budget.  The
-        :class:`FleetScrubber` flips this per tenant as its binding
-        state changes.
+        When ``False``, the guard covers authoritative state plus the
+        encode canary only — no score-table digests and no score canary.
+        Building (or even probing) the derived specs *materialises* the
+        score table, so a guard over an LRU-evicted fleet tenant must opt
+        out or the scrub loop would silently rebind every tenant the
+        registry just evicted, defeating the byte budget.  Encoding reads
+        the lookup table directly and materialises nothing, so its
+        known-answer check runs either way.  The :class:`FleetScrubber`
+        flips this per tenant as its binding state changes.
     """
 
     def __init__(
@@ -207,8 +208,8 @@ class IntegrityGuard:
         materialised table sweeps every byte.  Recording the digests
         forces the table to materialise, which doubles as serving
         warm-up; the digests stay valid across legitimate rebuilds
-        (invalidation, kernel-backend switches) because rebuilds from
-        intact authoritative state are bit-identical.
+        (cache invalidation, LRU eviction and rebind) because rebuilds
+        from intact authoritative state are bit-identical.
         """
         clf = self.clf
         specs = {
@@ -342,19 +343,14 @@ class IntegrityGuard:
     def _canary_answers_now(self) -> dict:
         """Known-answer digests over the serving path, as of now.
 
-        Empty when derived coverage is off: the guard then covers
-        authoritative state only, and running the score canary would
+        The encode answer is always recorded; the score answer only with
+        derived coverage on, since running the score canary would
         materialise the score table.
         """
         clf = self.clf
-        answers = {}
-        if not self.include_derived:
-            return answers
         encoded = clf.encoder.encode_many(self._canary_features)
-        answers["encode"] = hashlib.sha256(
-            np.ascontiguousarray(encoded)
-        ).hexdigest()
-        if clf.config.fused_inference:
+        answers = {"encode": hashlib.sha256(np.ascontiguousarray(encoded)).hexdigest()}
+        if self.include_derived and clf.config.fused_inference:
             engine = clf.fused_engine()
             if engine.enabled:
                 scores = engine.scores(self._canary_features)
@@ -705,8 +701,9 @@ class FleetScrubber:
     * Guards over **unbound** tenants are built with
       ``include_derived=False``: probing derived caches materialises
       them, so a full guard would rebind every table set the LRU budget
-      just evicted.  When the tenant's binding state flips (eviction or
-      lazy rebind), the guard is rebuilt to match.
+      just evicted.  Such a guard still runs the encode canary, which
+      materialises nothing.  When the tenant's binding state flips
+      (eviction or lazy rebind), the guard is rebuilt to match.
 
     Tenants whose classifier the guard cannot cover (no quantizer /
     counters surface) are skipped with a recorded ``last_error`` rather

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels, telemetry
+from repro import telemetry
 from repro.resilience.retry import DeadlineExceededError
 from repro.utils.validation import (
     check_2d,
@@ -873,7 +873,4 @@ class InferenceService:
                 }
                 for tenant, stats in sorted(self.tenant_stats.items())
             },
-            # Deployment introspection: which backend serves each kernel
-            # primitive in this process (the compiled-path liveness check).
-            "kernel_backends": kernels.active_backends(),
         }

@@ -134,21 +134,4 @@ def validate_stats_payload(payload: object) -> dict:
             isinstance(overhead.get("overhead_fraction"), Real),
             "overhead.overhead_fraction must be a number",
         )
-    # Optional so pre-kernel-registry payloads keep validating; the current
-    # workload always embeds the registry description.
-    kernels_block = payload.get("kernels")
-    if kernels_block is not None:
-        _require(isinstance(kernels_block, dict), "kernels must be an object")
-        _require(isinstance(kernels_block.get("mode"), str), "kernels.mode must be a string")
-        _require(
-            isinstance(kernels_block.get("numba_available"), bool),
-            "kernels.numba_available must be a bool",
-        )
-        active = kernels_block.get("active")
-        _require(isinstance(active, dict), "kernels.active must be an object")
-        for op, backend in active.items():
-            _require(
-                isinstance(op, str) and isinstance(backend, str),
-                "kernels.active must map primitive names to backend names",
-            )
     return payload

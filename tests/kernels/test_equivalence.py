@@ -1,24 +1,18 @@
-"""Bit-identity equivalence suite for every kernel primitive.
+"""Bit-identity suite for the lookup-domain primitives.
 
-Three layers of evidence that a registry backend can never change
-results:
+Two layers of evidence that each NumPy primitive in
+:mod:`repro.kernels.reference` computes what its callers need:
 
-1. **Reference vs pre-registry semantics** — each NumPy reference
-   primitive is compared against an independent re-derivation of the
-   computation the callers used before the registry existed (explicit
-   loops, ``np.bincount``, dense GEMMs), over a dtype × shape × ``q``
-   grid.
-2. **Backend vs reference** — every registered compiled backend
-   (Numba where installed) is compared bit for bit against the reference
-   on the same grid.  Where no compiled backend is available the grid
-   runs against the reference alone, keeping the suite green on
-   NumPy-only machines.
-3. **Hypothesis properties** — randomly generated inputs check the
-   invariants that make bit-identity possible (address ranges, count
-   conservation, popcount-vs-int, chunk-major accumulation).
+1. **Reference vs oracle** — each primitive is compared against an
+   independent re-derivation of the computation (explicit loops, the
+   codebook's per-chunk addressing helper, dense GEMMs), over a
+   dtype × shape × ``q`` grid.
+2. **Hypothesis properties** — randomly generated inputs check the
+   invariants bit-identity rests on (address ranges, count conservation,
+   popcount-vs-int, chunk-major accumulation).
 
-Plus the satellite: the NumPy >= 2.0 ``bitwise_count`` feature gate and
-its byte-LUT fallback agree exactly.
+Plus the NumPy >= 2.0 ``bitwise_count`` feature gate and its byte-LUT
+fallback agree exactly.
 """
 
 import numpy as np
@@ -26,44 +20,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
-from repro.kernels import reference, registry
+from repro.kernels import reference
 from repro.kernels.reference import (
-    OP_NAMES,
-    REFERENCE_OPS,
+    chunk_addresses,
+    counter_materialize,
+    counter_observe,
+    gather_accumulate,
+    packed_popcount,
     popcount_lut,
-    probe_inputs,
 )
 from repro.quantization.codebook import chunk_addresses as codebook_chunk_addresses
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
-def _compiled_backends() -> list[str]:
-    """Registered compiled backends that actually built on this machine."""
-    names = []
-    for name in registry._BACKEND_FACTORIES:
-        if registry._candidate_ops(name):
-            names.append(name)
-    return names
-
-
-def _impls(op: str):
-    """(label, callable) pairs to check against the reference for ``op``."""
-    pairs = [("numpy", REFERENCE_OPS[op])]
-    for name in _compiled_backends():
-        fn = registry._candidate_ops(name).get(op)
-        if fn is not None:
-            pairs.append((name, fn))
-    return pairs
-
-
-def _assert_identical(expected, actual, label):
+def _assert_identical(expected, actual):
     expected = np.asarray(expected)
     actual = np.asarray(actual)
-    assert actual.shape == expected.shape, label
-    assert actual.dtype == expected.dtype, label
-    assert np.array_equal(actual, expected), label
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
 
 
 class TestChunkAddresses:
@@ -75,23 +51,21 @@ class TestChunkAddresses:
         levels = rng.integers(0, q, size=shape).astype(dtype)
         chunk_size = 3
         n_chunks = -(-shape[1] // chunk_size)
-        # The pre-registry path: pad, reshape to (N, m, r), then the
-        # codebook's per-chunk big-endian helper.
+        # The oracle: pad, reshape to (N, m, r), then the codebook's
+        # per-chunk big-endian helper.
         pad = np.zeros((shape[0], n_chunks * chunk_size - shape[1]), dtype=np.int64)
         chunked = np.concatenate([levels.astype(np.int64), pad], axis=1).reshape(
             shape[0], n_chunks, chunk_size
         )
         expected = codebook_chunk_addresses(chunked, q)
-        for label, fn in _impls("chunk_addresses"):
-            _assert_identical(expected, fn(levels, q, chunk_size, n_chunks, 0), label)
+        _assert_identical(expected, chunk_addresses(levels, q, chunk_size, n_chunks, 0))
 
     def test_pad_level_used_for_tail(self):
         levels = np.array([[1, 1, 1, 1, 1]], dtype=np.int64)
         # 5 features, chunks of 3 → second chunk is (1, 1, pad).
         for pad in (0, 1):
             expected = np.array([[1 * 9 + 1 * 3 + 1, 1 * 9 + 1 * 3 + pad]])
-            for label, fn in _impls("chunk_addresses"):
-                _assert_identical(expected, fn(levels, 3, 3, 2, pad), f"{label} pad={pad}")
+            _assert_identical(expected, chunk_addresses(levels, 3, 3, 2, pad))
 
     @given(seed=seeds, q=st.integers(2, 8), n=st.integers(1, 40), batch=st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
@@ -100,18 +74,17 @@ class TestChunkAddresses:
         levels = rng.integers(0, q, size=(batch, n), dtype=np.int64)
         chunk_size = min(3, n)
         n_chunks = -(-n // chunk_size)
-        for label, fn in _impls("chunk_addresses"):
-            addresses = fn(levels, q, chunk_size, n_chunks, 0)
-            assert addresses.shape == (batch, n_chunks)
-            assert addresses.min(initial=0) >= 0
-            assert addresses.max(initial=0) < q**chunk_size
-            if batch:
-                # First chunk of the first sample, big-endian by hand.
-                digits = levels[0, :chunk_size]
-                manual = 0
-                for digit in digits:
-                    manual = manual * q + int(digit)
-                assert addresses[0, 0] == manual, label
+        addresses = chunk_addresses(levels, q, chunk_size, n_chunks, 0)
+        assert addresses.shape == (batch, n_chunks)
+        assert addresses.min(initial=0) >= 0
+        assert addresses.max(initial=0) < q**chunk_size
+        if batch:
+            # First chunk of the first sample, big-endian by hand.
+            digits = levels[0, :chunk_size]
+            manual = 0
+            for digit in digits:
+                manual = manual * q + int(digit)
+            assert addresses[0, 0] == manual
 
 
 class TestCounterObserve:
@@ -125,18 +98,16 @@ class TestCounterObserve:
         for row in addresses:
             for chunk, address in enumerate(row):
                 expected[chunk, address] += 1
-        for label, fn in _impls("counter_observe"):
-            _assert_identical(expected, fn(addresses, n_chunks, q_r), label)
+        _assert_identical(expected, counter_observe(addresses, n_chunks, q_r))
 
     @given(seed=seeds, batch=st.integers(0, 64), n_chunks=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_property_counts_conserve_batch_size(self, seed, batch, n_chunks):
         rng = np.random.default_rng(seed)
         addresses = rng.integers(0, 32, size=(batch, n_chunks), dtype=np.int64)
-        for label, fn in _impls("counter_observe"):
-            counts = fn(addresses, n_chunks, 32)
-            assert counts.shape == (n_chunks, 32), label
-            assert np.all(counts.sum(axis=1) == batch), label
+        counts = counter_observe(addresses, n_chunks, 32)
+        assert counts.shape == (n_chunks, 32)
+        assert np.all(counts.sum(axis=1) == batch)
 
 
 class TestCounterMaterialize:
@@ -156,8 +127,7 @@ class TestCounterMaterialize:
         expected = (
             (counts @ table.astype(np.int64)) * positions
         ).sum(axis=0)
-        for label, fn in _impls("counter_materialize"):
-            _assert_identical(expected, fn(counts, table, positions), label)
+        _assert_identical(expected, counter_materialize(counts, table, positions))
 
     @given(seed=seeds)
     @settings(max_examples=30, deadline=None)
@@ -166,10 +136,9 @@ class TestCounterMaterialize:
         counts = rng.integers(0, 5, size=(3, 8)).astype(np.int64)
         table = rng.integers(-3, 4, size=(8, 12)).astype(np.int64)
         positions = rng.choice([-1, 1], size=(3, 12)).astype(np.int64)
-        for label, fn in _impls("counter_materialize"):
-            doubled = fn(2 * counts, table, positions)
-            single = fn(counts, table, positions)
-            assert np.array_equal(doubled, 2 * single), label
+        doubled = counter_materialize(2 * counts, table, positions)
+        single = counter_materialize(counts, table, positions)
+        assert np.array_equal(doubled, 2 * single)
 
 
 class TestGatherAccumulate:
@@ -188,8 +157,7 @@ class TestGatherAccumulate:
         expected = np.zeros((11, width), dtype=out_dtype)
         for chunk in range(m):
             expected += table[chunk][addresses[:, chunk]]
-        for label, fn in _impls("gather_accumulate"):
-            _assert_identical(expected, fn(table, addresses, out_dtype), label)
+        _assert_identical(expected, gather_accumulate(table, addresses, out_dtype))
 
     @given(seed=seeds, m=st.integers(1, 6), width=st.integers(1, 9))
     @settings(max_examples=40, deadline=None)
@@ -202,8 +170,7 @@ class TestGatherAccumulate:
         expected = np.zeros((5, width))
         for chunk in range(m):
             expected += table[chunk][addresses[:, chunk]]
-        for label, fn in _impls("gather_accumulate"):
-            assert np.array_equal(fn(table, addresses, np.float64), expected), label
+        assert np.array_equal(gather_accumulate(table, addresses, np.float64), expected)
 
 
 class TestPackedPopcount:
@@ -217,30 +184,26 @@ class TestPackedPopcount:
         expected = np.array(
             [sum(int(w).bit_count() for w in row) for row in flat], dtype=np.int64
         ).reshape(shape[:-1])
-        for label, fn in _impls("packed_popcount"):
-            _assert_identical(expected, fn(words), label)
+        _assert_identical(expected, packed_popcount(words))
 
     def test_extremes(self):
         words = np.array([[0, 0xFFFFFFFFFFFFFFFF, 1, 1 << 63]], dtype=np.uint64)
-        for label, fn in _impls("packed_popcount"):
-            _assert_identical(np.array([66], dtype=np.int64), fn(words), label)
+        _assert_identical(np.array([66], dtype=np.int64), packed_popcount(words))
 
     def test_lut_fallback_matches_packed_popcount(self):
-        """Satellite: the byte-LUT fallback is bit-identical to whatever
-        ``packed_popcount`` dispatches to (``np.bitwise_count`` on
-        NumPy >= 2), so the feature gate can never change results."""
+        """The byte-LUT fallback is bit-identical to whatever
+        ``packed_popcount`` runs (``np.bitwise_count`` on NumPy >= 2), so
+        the feature gate can never change results."""
         rng = np.random.default_rng(0xFA11)
         words = rng.integers(0, 2**63, size=(128, 16), dtype=np.uint64)
-        _assert_identical(reference.packed_popcount(words), popcount_lut(words), "lut")
+        _assert_identical(reference.packed_popcount(words), popcount_lut(words))
 
     def test_feature_gate_forced_to_lut(self, monkeypatch):
         rng = np.random.default_rng(1)
         words = rng.integers(0, 2**63, size=(16, 4), dtype=np.uint64)
         expected = reference.packed_popcount(words)
         monkeypatch.setattr(reference, "BITWISE_COUNT", None)
-        _assert_identical(expected, reference.packed_popcount(words), "gated")
-        with pytest.raises(RuntimeError):
-            reference.popcount_bitwise_count(words)
+        _assert_identical(expected, reference.packed_popcount(words))
 
     @given(seed=seeds, width=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
@@ -250,50 +213,6 @@ class TestPackedPopcount:
         expected = np.array(
             [sum(int(w).bit_count() for w in row) for row in words], dtype=np.int64
         )
-        for label, fn in _impls("packed_popcount"):
-            counts = fn(words)
-            assert np.array_equal(counts, expected), label
-            assert counts.max(initial=0) <= 64 * width
-
-
-class TestCompressedScore:
-    @pytest.mark.parametrize("shape", [(1, 8, 3), (64, 256, 13), (128, 2000, 26)])
-    def test_grid_matches_gemm(self, shape):
-        batch, dim, k = shape
-        rng = np.random.default_rng(dim)
-        queries = rng.standard_normal((batch, dim))
-        search = rng.standard_normal((k, dim))
-        expected = queries @ search.T
-        for label, fn in _impls("compressed_score"):
-            _assert_identical(expected, fn(queries, search), label)
-
-    def test_non_contiguous_queries(self):
-        rng = np.random.default_rng(3)
-        queries = rng.standard_normal((32, 64))[::2]
-        search = rng.standard_normal((5, 64))
-        expected = queries @ search.T
-        for label, fn in _impls("compressed_score"):
-            _assert_identical(expected, fn(queries, search), label)
-
-
-class TestRegistryLevelEquivalence:
-    """Dispatch through the public ``kernels.*`` wrappers under every
-    selectable mode — whatever backend wins must serve reference bits."""
-
-    @pytest.mark.parametrize("mode", ["numpy", "auto", "numba"])
-    def test_all_ops_reference_identical_on_probes(self, mode, recwarn):
-        kernels.set_backend(mode)
-        public = {
-            "chunk_addresses": kernels.chunk_addresses,
-            "counter_observe": kernels.counter_observe,
-            "counter_materialize": kernels.counter_materialize,
-            "gather_accumulate": kernels.gather_accumulate,
-            "packed_popcount": kernels.packed_popcount,
-            "compressed_score": kernels.compressed_score,
-        }
-        assert set(public) == set(OP_NAMES)
-        for op, fn in public.items():
-            for probe in probe_inputs(op):
-                _assert_identical(
-                    REFERENCE_OPS[op](*probe), fn(*probe), f"{mode}:{op}"
-                )
+        counts = packed_popcount(words)
+        assert np.array_equal(counts, expected)
+        assert counts.max(initial=0) <= 64 * width

@@ -131,11 +131,20 @@ def test_tenant_removal_prunes_scrubber_state(registry):
     assert sorted(scrubber.status()["tenants"]) == ["alpha"]
 
 
-def test_guard_include_derived_skips_canaries_and_cache_probes(small_dataset):
+def test_guard_without_derived_coverage_leaves_caches_released(small_dataset):
     clf = _fit(small_dataset, 3)
     clf.release_tables()
     guard = IntegrityGuard(clf, include_derived=False)
     assert guard.check_canaries() == []
     assert guard.verify_all() == []
     # Building and sweeping the guard must not have rebuilt the caches.
+    assert clf.serving_table_bytes() == 0
+
+
+def test_guard_without_derived_coverage_runs_encode_canary(small_dataset):
+    clf = _fit(small_dataset, 3)
+    clf.release_tables()
+    guard = IntegrityGuard(clf, include_derived=False)
+    clf.encoder.lookup_table.table[:, :8] *= -1  # silent in-place damage
+    assert [error.artifact for error in guard.check_canaries()] == ["encode"]
     assert clf.serving_table_bytes() == 0

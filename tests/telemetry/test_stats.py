@@ -63,17 +63,6 @@ class TestStatsWorkload:
         validate_stats_payload(payload)
         out = capsys.readouterr().out
         assert "[stats] inference.fused.queries" in out
-        assert "[stats] kernel backends:" in out
-
-    def test_payload_surfaces_kernel_backends(self, stats_payload):
-        from repro.kernels.reference import OP_NAMES
-
-        block = stats_payload["kernels"]
-        assert set(block["active"]) == set(OP_NAMES)
-        assert all(isinstance(backend, str) for backend in block["active"].values())
-        counters = stats_payload["telemetry"]["counters"]
-        dispatches = [name for name in counters if name.startswith("kernels.dispatch{")]
-        assert dispatches, "stats workload recorded no kernel dispatches"
 
 
 class TestSchemaRejections:
@@ -101,17 +90,6 @@ class TestSchemaRejections:
     def test_non_int_counter_rejected(self):
         with pytest.raises(ValueError, match="must be an int"):
             validate_snapshot({"counters": {"c": 1.5}, "timers": {}, "histograms": {}})
-
-    def test_malformed_kernels_block_rejected(self, stats_payload):
-        broken = json.loads(json.dumps(stats_payload))
-        broken["kernels"] = {"mode": "auto"}  # missing numba_available/active
-        with pytest.raises(ValueError, match="kernels"):
-            validate_stats_payload(broken)
-
-    def test_payload_without_kernels_block_still_validates(self, stats_payload):
-        legacy = json.loads(json.dumps(stats_payload))
-        del legacy["kernels"]
-        validate_stats_payload(legacy)
 
 
 class TestOverheadGate:

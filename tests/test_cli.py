@@ -86,46 +86,6 @@ class TestBenchCommand:
         args = build_parser().parse_args(["bench"])
         assert args.profile == "full"
         assert args.repeats == 3
-        assert args.kernel_backend is None
-
-    def test_bench_accepts_kernel_profiles_and_backend(self):
-        args = build_parser().parse_args(
-            ["bench", "--profile", "kernels-smoke", "--kernel-backend", "numpy"]
-        )
-        assert args.profile == "kernels-smoke"
-        assert args.kernel_backend == "numpy"
-
-    def test_bench_kernels_smoke_embeds_gated_block(self, tmp_path, capsys):
-        import json
-
-        from repro.bench.schema import validate_bench_payload
-        from repro.kernels import registry
-
-        mode = registry.current_mode()
-        try:
-            assert (
-                main(
-                    [
-                        "bench",
-                        "--profile",
-                        "kernels-smoke",
-                        "--kernel-backend",
-                        "numpy",
-                        "--out-dir",
-                        str(tmp_path),
-                        "--repeats",
-                        "1",
-                    ]
-                )
-                == 0
-            )
-        finally:
-            registry.set_backend(mode)
-        assert "[kernels] mode=numpy" in capsys.readouterr().out
-        payload = validate_bench_payload(
-            json.loads((tmp_path / "BENCH_inference.json").read_text()), "inference"
-        )
-        assert payload["kernels"]["checks"]["kernel_outputs_match"] is True
 
     def test_bench_smoke_writes_files(self, tmp_path, capsys):
         import json

@@ -34,9 +34,7 @@ the deliverable; the fan-out is for quick correctness sweeps.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import platform
 import statistics
 import sys
 import time
@@ -55,6 +53,7 @@ from repro.lookhd.trainer import LookHDTrainer
 from repro.parallel.executor import ProcessExecutor, resolve_n_workers
 from repro.parallel.trainer import ParallelTrainer
 from repro.telemetry.registry import merge_snapshots
+from repro.utils.artifact import environment, write_artifact
 
 DEFAULT_REPEATS = 3
 
@@ -91,14 +90,6 @@ def _time_stage(fn: Callable[[], object], n_samples: int, repeats: int) -> dict:
 
 def _sha256(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array, dtype=np.int64).tobytes()).hexdigest()
-
-
-def _environment() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
 
 
 def _fit_classifier(workload: BenchWorkload, data) -> LookHDClassifier:
@@ -259,7 +250,7 @@ def run_inference_bench(
         "schema_version": SCHEMA_VERSION,
         "benchmark": "inference",
         "profile": profile,
-        "environment": _environment(),
+        "environment": environment(),
         "workloads": entries,
         "telemetry": snapshot,
     }
@@ -284,7 +275,7 @@ def run_training_bench(
         "schema_version": SCHEMA_VERSION,
         "benchmark": "training",
         "profile": profile,
-        "environment": _environment(),
+        "environment": environment(),
         "workloads": entries,
         "telemetry": snapshot,
     }
@@ -413,7 +404,7 @@ def run_training_scaling_bench(
         "schema_version": SCHEMA_VERSION,
         "benchmark": "training",
         "profile": profile,
-        "environment": _environment(),
+        "environment": environment(),
         "workloads": entries,
         "telemetry": registry.snapshot(),
     }
@@ -459,13 +450,10 @@ def write_bench_files(
     else:
         training, inference = run_bench_profile(profile, repeats=repeats, n_workers=n_workers)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    training_path = out_dir / "BENCH_training.json"
-    training_path.write_text(json.dumps(training, indent=2, sort_keys=True) + "\n")
+    training_path = write_artifact(out_dir / "BENCH_training.json", training)
     inference_path = None
     if inference is not None:
-        inference_path = out_dir / "BENCH_inference.json"
-        inference_path.write_text(json.dumps(inference, indent=2, sort_keys=True) + "\n")
+        inference_path = write_artifact(out_dir / "BENCH_inference.json", inference)
     for payload in (training, inference):
         if payload is None:
             continue

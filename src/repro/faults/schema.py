@@ -1,120 +1,66 @@
-"""Structural schema for ``BENCH_faults.json`` reports.
+"""Schema for ``BENCH_faults.json`` reports.
 
-Hand-rolled like :mod:`repro.bench.schema` (no jsonschema dependency):
-tests and CI validate every report so the fault harness's output stays
+Field spec plus named gates for :mod:`repro.utils.artifact`: tests and CI
+validate every report so the fault harness's output stays
 machine-readable and comparable across the repo's history.
 """
 
 from __future__ import annotations
 
-from numbers import Real
+from repro.utils.artifact import (
+    ENVIRONMENT, FRACTION, MODEL_CONFIG, Gated, Int, ListOf, MapOf, Number, Omittable, require,
+    validate,
+)
 
 FAULTS_SCHEMA_VERSION = 1
 
-_CURVE_FIELDS = ("ber", "accuracy_mean", "accuracy_std", "accuracy_min", "accuracy_drop")
 _REQUIRED_MODELS = ("plain", "compressed", "decorrelated")
-_NOISE_FIELDS = ("noise_to_signal", "rank_flip_rate")
+_NOISE = Omittable({"noise_to_signal": Number(ge=0), "rank_flip_rate": Number(ge=0)}, null=True)
+_CURVE_POINT = {
+    **dict.fromkeys(("ber", "accuracy_std", "accuracy_min", "accuracy_drop"), float),
+    "accuracy_mean": FRACTION,
+    "trials": Int(ge=1),
+}
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(f"faults schema violation: {message}")
+def _curves_cover_sweep(payload: dict) -> None:
+    for model in payload["models"]:
+        require(
+            len(model["curve"]) == len(payload["config"]["bers"]),
+            f"model {model['name']!r} curve must have one point per swept BER",
+        )
 
 
-def _check_number(value: object, message: str, low: float | None = None, high: float | None = None) -> None:
-    _require(isinstance(value, Real) and not isinstance(value, bool), message)
-    if low is not None:
-        _require(value >= low, f"{message} (must be >= {low})")
-    if high is not None:
-        _require(value <= high, f"{message} (must be <= {high})")
+def _variants_present(payload: dict) -> None:
+    names = [model["name"] for model in payload["models"]]
+    for required in _REQUIRED_MODELS:
+        require(required in names, f"models must include the {required!r} variant")
 
 
-def _check_noise(label: str, stats: object) -> None:
-    _require(isinstance(stats, dict), f"{label} must be an object")
-    for field in _NOISE_FIELDS:
-        _check_number(stats.get(field), f"{label}.{field} must be a number", low=0.0)
+_FAULTS = Gated(
+    {
+        "schema_version": FAULTS_SCHEMA_VERSION,
+        "benchmark": "faults",
+        "config": {**MODEL_CONFIG, "bers": ListOf(FRACTION), "trials": int, "targets": ListOf(str)},
+        "environment": ENVIRONMENT,
+        "models": ListOf(
+            {
+                "name": str,
+                "clean_accuracy": FRACTION,
+                "exposed_bits": int,
+                "curve": ListOf(_CURVE_POINT),
+                "max_safe_ber": Omittable(float, null=True),
+                "noise_clean": _NOISE,
+                "noise_at_max_ber": _NOISE,
+            }
+        ),
+        "feature_noise": ListOf({"sigma": Number(ge=0), "accuracy": MapOf(FRACTION)}, empty=True),
+        "checks": {"chance_accuracy": FRACTION, "accuracy_drop_budget": FRACTION},
+    },
+    (_curves_cover_sweep, _variants_present),
+)
 
 
 def validate_faults_payload(payload: object) -> dict:
-    """Validate a loaded ``BENCH_faults.json`` payload; returns it on success.
-
-    Raises ``ValueError`` describing the first violation found.
-    """
-    _require(isinstance(payload, dict), "payload must be a JSON object")
-    _require(
-        payload.get("schema_version") == FAULTS_SCHEMA_VERSION,
-        f"schema_version must be {FAULTS_SCHEMA_VERSION}",
-    )
-    _require(payload.get("benchmark") == "faults", "benchmark must be 'faults'")
-
-    config = payload.get("config")
-    _require(isinstance(config, dict), "config must be an object")
-    bers = config.get("bers")
-    _require(isinstance(bers, list) and bers, "config.bers must be a non-empty list")
-    for ber in bers:
-        _check_number(ber, "config.bers entries must be numbers", low=0.0, high=1.0)
-    for field in ("dim", "levels", "chunk_size", "n_classes", "trials", "seed"):
-        _require(isinstance(config.get(field), int), f"config.{field} must be an int")
-    targets = config.get("targets")
-    _require(
-        isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets),
-        "config.targets must be a non-empty list of strings",
-    )
-
-    environment = payload.get("environment")
-    _require(isinstance(environment, dict), "environment must be an object")
-    for field in ("python", "numpy", "platform"):
-        _require(isinstance(environment.get(field), str), f"environment.{field} must be a string")
-
-    models = payload.get("models")
-    _require(isinstance(models, list) and models, "models must be a non-empty list")
-    names = []
-    for entry in models:
-        _require(isinstance(entry, dict), "each model must be an object")
-        name = entry.get("name")
-        _require(isinstance(name, str), "model missing name")
-        names.append(name)
-        _check_number(
-            entry.get("clean_accuracy"), f"model {name!r} clean_accuracy", low=0.0, high=1.0
-        )
-        _require(isinstance(entry.get("exposed_bits"), int), f"model {name!r} exposed_bits must be an int")
-        curve = entry.get("curve")
-        _require(isinstance(curve, list) and curve, f"model {name!r} curve must be a non-empty list")
-        _require(
-            len(curve) == len(bers),
-            f"model {name!r} curve must have one point per swept BER",
-        )
-        for point in curve:
-            _require(isinstance(point, dict), f"model {name!r} curve points must be objects")
-            for field in _CURVE_FIELDS:
-                _check_number(point.get(field), f"model {name!r} curve point {field}")
-            _check_number(point.get("accuracy_mean"), "accuracy_mean", low=0.0, high=1.0)
-            _require(isinstance(point.get("trials"), int) and point["trials"] >= 1,
-                     f"model {name!r} curve point trials must be a positive int")
-        safe = entry.get("max_safe_ber")
-        _require(
-            safe is None or (isinstance(safe, Real) and not isinstance(safe, bool)),
-            f"model {name!r} max_safe_ber must be a number or null",
-        )
-        if entry.get("noise_clean") is not None:
-            _check_noise(f"model {name!r} noise_clean", entry["noise_clean"])
-        if entry.get("noise_at_max_ber") is not None:
-            _check_noise(f"model {name!r} noise_at_max_ber", entry["noise_at_max_ber"])
-    for required in _REQUIRED_MODELS:
-        _require(required in names, f"models must include the {required!r} variant")
-
-    feature_noise = payload.get("feature_noise")
-    _require(isinstance(feature_noise, list), "feature_noise must be a list")
-    for entry in feature_noise:
-        _require(isinstance(entry, dict), "feature_noise entries must be objects")
-        _check_number(entry.get("sigma"), "feature_noise sigma", low=0.0)
-        accuracy = entry.get("accuracy")
-        _require(isinstance(accuracy, dict) and accuracy, "feature_noise entry missing accuracy map")
-        for variant, value in accuracy.items():
-            _check_number(value, f"feature_noise accuracy[{variant!r}]", low=0.0, high=1.0)
-
-    checks = payload.get("checks")
-    _require(isinstance(checks, dict), "checks must be an object")
-    _check_number(checks.get("chance_accuracy"), "checks.chance_accuracy", low=0.0, high=1.0)
-    _check_number(checks.get("accuracy_drop_budget"), "checks.accuracy_drop_budget", low=0.0, high=1.0)
-    return payload
+    """Validate a loaded ``BENCH_faults.json`` payload; returns it or raises ``ValueError``."""
+    return validate("faults", _FAULTS, payload)

@@ -39,8 +39,6 @@ initializer) and then serves any number of trials against them.
 
 from __future__ import annotations
 
-import json
-import platform
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -55,6 +53,7 @@ from repro.faults.targets import DEFAULT_TARGETS, FaultSpec, inject_classifier_f
 from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
 from repro.lookhd.noise import compression_noise_report
 from repro.parallel.executor import ProcessExecutor
+from repro.utils.artifact import environment, write_artifact
 from repro.utils.validation import check_positive_int
 
 #: Threshold used for the headline "safe BER" metric: the largest swept
@@ -99,14 +98,6 @@ class SweepConfig:
         payload["targets"] = list(self.targets)
         payload["noise_sigmas"] = [float(sigma) for sigma in self.noise_sigmas]
         return payload
-
-
-def _environment() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
 
 
 def _variant_config(variant: str, config: SweepConfig) -> LookHDConfig:
@@ -336,7 +327,7 @@ def run_ber_sweep(config: SweepConfig, n_workers: int | None = 1) -> dict:
         "schema_version": FAULTS_SCHEMA_VERSION,
         "benchmark": "faults",
         "config": config.config_dict(),
-        "environment": _environment(),
+        "environment": environment(),
         "models": models,
         "feature_noise": feature_noise,
         "checks": {
@@ -357,10 +348,7 @@ def write_faults_file(
     if stream is None:
         stream = sys.stdout
     payload = run_ber_sweep(config, n_workers=n_workers)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "BENCH_faults.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path = write_artifact(Path(out_dir) / "BENCH_faults.json", payload)
     for entry in payload["models"]:
         safe = entry["max_safe_ber"]
         print(

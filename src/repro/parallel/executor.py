@@ -338,9 +338,6 @@ class ProcessExecutor:
     finalizer:
         Run once per worker after its last task (even on failure); use it
         to close :class:`AttachedArray` handles.
-    start_method:
-        ``fork`` / ``spawn`` / ``forkserver``; default
-        :func:`default_start_method`.
     max_respawns:
         Supervision budget per :meth:`map` call: a worker that dies
         without finishing is replaced by a fresh process that re-runs
@@ -356,14 +353,12 @@ class ProcessExecutor:
         initializer=None,
         initargs: tuple = (),
         finalizer=None,
-        start_method: str | None = None,
         max_respawns: int = DEFAULT_MAX_RESPAWNS,
     ):
         self.n_workers = resolve_n_workers(n_workers)
         self.initializer = initializer
         self.initargs = tuple(initargs)
         self.finalizer = finalizer
-        self.start_method = start_method if start_method is not None else default_start_method()
         if max_respawns < 0:
             raise ValueError(f"max_respawns must be non-negative, got {max_respawns}")
         self.max_respawns = int(max_respawns)
@@ -441,7 +436,7 @@ class ProcessExecutor:
         return process
 
     def _map_processes(self, fn, tasks) -> list:
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context(default_start_method())
         n_procs = min(self.n_workers, len(tasks)) if tasks else self.n_workers
         result_queue = context.Queue()
         assignments = [
@@ -536,6 +531,12 @@ class ProcessExecutor:
                     current[slot] = replacement
                     all_processes.append(replacement)
         finally:
+            # A worker terminated while its feeder thread holds the
+            # queue's write lock leaves that lock held for good, and the
+            # watchers' late wakeups then block this process's feeder
+            # forever.  Nothing reads them after this point, so never
+            # join that feeder (interpreter exit would hang on it).
+            result_queue.cancel_join_thread()
             if error is not None:
                 for process in all_processes:
                     if process.is_alive():

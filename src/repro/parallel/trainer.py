@@ -124,9 +124,6 @@ class ParallelTrainer(LookHDTrainer):
         Worker processes per batch; ``None`` uses ``os.cpu_count()``.
         ``1`` (or an unavailable shared-memory platform) degrades to the
         sequential in-process path.
-    start_method:
-        Multiprocessing start method override (default: ``fork`` where
-        available, else ``spawn``).
     shard_hook:
         Optional module-level callable run in each worker, once per
         shard, before counting (chaos/testing seam — e.g. kill the
@@ -143,7 +140,6 @@ class ParallelTrainer(LookHDTrainer):
         encoder: LookupEncoder,
         n_classes: int,
         n_workers: int | None = None,
-        start_method: str | None = None,
         shard_hook=None,
         max_respawns: int = DEFAULT_MAX_RESPAWNS,
     ):
@@ -151,7 +147,6 @@ class ParallelTrainer(LookHDTrainer):
         if n_workers is None:
             n_workers = os.cpu_count() or 1
         self.n_workers = resolve_n_workers(n_workers)
-        self.start_method = start_method
         self.shard_hook = shard_hook
         self.max_respawns = max_respawns
         #: Breakdown of the most recent parallel ``observe`` call (None
@@ -187,7 +182,6 @@ class ParallelTrainer(LookHDTrainer):
                     self.shard_hook,
                 ),
                 finalizer=_close_training_worker,
-                start_method=self.start_method,
                 max_respawns=self.max_respawns,
             )
             shards = plan_shards(batch.shape[0], self.n_workers)

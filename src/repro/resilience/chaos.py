@@ -33,9 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import json
 import os
-import platform
 import sys
 import tempfile
 import time
@@ -56,6 +54,7 @@ from repro.resilience.schema import (
     validate_resilience_payload,
 )
 from repro.serving.service import InferenceService, MicrobatchConfig
+from repro.utils.artifact import environment, write_artifact
 from repro.utils.validation import check_positive_int
 
 #: Maximum tolerated serving slowdown from an attached-but-disabled
@@ -139,14 +138,6 @@ def chaos_config(profile: str) -> ChaosConfig:
             f"unknown chaos profile {profile!r}; expected one of {sorted(_PROFILES)}"
         )
     return ChaosConfig(**_PROFILES[profile])
-
-
-def _environment() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
 
 
 def _chaos_dataset(config: ChaosConfig):
@@ -459,7 +450,7 @@ def run_chaos(config: ChaosConfig, profile: str = "full") -> dict:
         "benchmark": "resilience",
         "profile": profile,
         "config": config.config_dict(),
-        "environment": _environment(),
+        "environment": environment(),
         "serving": serving,
         "training": training,
         "overhead": overhead,
@@ -486,10 +477,7 @@ def write_resilience_file(
     if config is None:
         config = chaos_config(profile)
     payload = run_chaos(config, profile=profile)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "BENCH_resilience.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path = write_artifact(Path(out_dir) / "BENCH_resilience.json", payload)
     serving = payload["serving"]
     print(
         f"[chaos] serving: detected in {serving['detection_seconds'] * 1e3:.1f} ms, "

@@ -1,7 +1,7 @@
-"""Structural schema for ``BENCH_resilience.json`` reports.
+"""Schema for ``BENCH_resilience.json`` reports.
 
-Hand-rolled like :mod:`repro.faults.schema` (no jsonschema dependency).
-Beyond shape checking, this schema *is* the chaos gate: the recovery
+Field spec plus named gates for :mod:`repro.utils.artifact`. Beyond
+shape checking, this schema *is* the chaos gate: the recovery
 booleans — detection, repair, post-repair bit-identity, and the
 supervised-training bit-identity — must be ``True`` for the payload to
 validate, so CI fails the moment self-healing regresses, not when a
@@ -10,7 +10,10 @@ human reads the numbers.
 
 from __future__ import annotations
 
-from numbers import Real
+from repro.utils.artifact import (
+    COUNT, ENVIRONMENT, FRACTION, MODEL_CONFIG, Fixed, Gated, Int, Number, Omittable, require,
+    validate,
+)
 
 RESILIENCE_SCHEMA_VERSION = 1
 
@@ -21,136 +24,70 @@ _REQUIRED_TRUE_CHECKS = (
     "post_repair_bit_identical",
     "training_counters_bit_identical",
 )
+_SCRUB_COUNTS = ("ticks", "blocks_verified", "errors_detected", "repairs")
+_SECONDS = Number(ge=0)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(f"resilience schema violation: {message}")
-
-
-def _check_number(
-    value: object,
-    message: str,
-    low: float | None = None,
-    high: float | None = None,
-) -> None:
-    _require(isinstance(value, Real) and not isinstance(value, bool), message)
-    if low is not None:
-        _require(value >= low, f"{message} (must be >= {low})")
-    if high is not None:
-        _require(value <= high, f"{message} (must be <= {high})")
-
-
-def _check_bool(value: object, message: str) -> None:
-    _require(isinstance(value, bool), message)
-
-
-def validate_resilience_payload(payload: object) -> dict:
-    """Validate a loaded ``BENCH_resilience.json`` payload; returns it.
-
-    Raises ``ValueError`` describing the first violation found — including
-    any failed recovery gate (a chaos run that did not detect, repair, and
-    restore bit-identity does not produce a valid report).
-    """
-    _require(isinstance(payload, dict), "payload must be a JSON object")
-    _require(
-        payload.get("schema_version") == RESILIENCE_SCHEMA_VERSION,
-        f"schema_version must be {RESILIENCE_SCHEMA_VERSION}",
-    )
-    _require(payload.get("benchmark") == "resilience", "benchmark must be 'resilience'")
-    _require(
-        payload.get("profile") in ("full", "smoke"),
-        "profile must be 'full' or 'smoke'",
-    )
-
-    config = payload.get("config")
-    _require(isinstance(config, dict), "config must be an object")
-    for field in ("dim", "levels", "chunk_size", "n_classes", "seed", "n_requests", "n_workers"):
-        _require(isinstance(config.get(field), int), f"config.{field} must be an int")
-    _check_number(config.get("fault_ber"), "config.fault_ber", low=0.0, high=1.0)
-    _require(
-        isinstance(config.get("fault_target"), str), "config.fault_target must be a string"
-    )
-
-    environment = payload.get("environment")
-    _require(isinstance(environment, dict), "environment must be an object")
-    for field in ("python", "numpy", "platform"):
-        _require(isinstance(environment.get(field), str), f"environment.{field} must be a string")
-
-    serving = payload.get("serving")
-    _require(isinstance(serving, dict), "serving must be an object")
-    _require(isinstance(serving.get("requests"), int), "serving.requests must be an int")
-    _require(serving["requests"] >= 1, "serving.requests must be >= 1")
-    _check_number(serving.get("availability"), "serving.availability", low=0.0, high=1.0)
-    _check_bool(serving.get("detected"), "serving.detected must be a bool")
-    _check_bool(serving.get("repaired"), "serving.repaired must be a bool")
-    _check_bool(
-        serving.get("post_repair_bit_identical"),
-        "serving.post_repair_bit_identical must be a bool",
-    )
-    if serving.get("detection_seconds") is not None:
-        _check_number(serving["detection_seconds"], "serving.detection_seconds", low=0.0)
-    if serving.get("repair_seconds") is not None:
-        _check_number(serving["repair_seconds"], "serving.repair_seconds", low=0.0)
-    injection = serving.get("injection")
-    _require(isinstance(injection, dict), "serving.injection must be an object")
-    _require(
-        isinstance(injection.get("target"), str), "serving.injection.target must be a string"
-    )
-    _require(
-        isinstance(injection.get("elements_flipped"), int)
-        and injection["elements_flipped"] >= 1,
-        "serving.injection.elements_flipped must be a positive int",
-    )
-    scrub = serving.get("scrub")
-    _require(isinstance(scrub, dict), "serving.scrub must be an object")
-    for field in ("ticks", "blocks_verified", "errors_detected", "repairs"):
-        _require(isinstance(scrub.get(field), int), f"serving.scrub.{field} must be an int")
-
-    training = payload.get("training")
-    _require(isinstance(training, dict), "training must be an object")
-    _require(isinstance(training.get("n_workers"), int), "training.n_workers must be an int")
-    _check_bool(
-        training.get("parallel_executed"), "training.parallel_executed must be a bool"
-    )
-    _require(
-        isinstance(training.get("respawns"), int) and training["respawns"] >= 0,
-        "training.respawns must be a non-negative int",
-    )
-    _check_bool(
-        training.get("counters_bit_identical"),
-        "training.counters_bit_identical must be a bool",
-    )
-    _check_bool(
-        training.get("class_vectors_bit_identical"),
-        "training.class_vectors_bit_identical must be a bool",
-    )
+def _worker_kill_respawned(payload: dict) -> None:
+    training = payload["training"]
     if training["parallel_executed"]:
-        _require(
+        require(
             training["respawns"] >= 1,
             "training.respawns must be >= 1 when the worker kill actually ran "
             "(parallel_executed is true)",
         )
 
-    overhead = payload.get("overhead")
-    _require(isinstance(overhead, dict), "overhead must be an object")
-    _check_number(overhead.get("baseline_seconds"), "overhead.baseline_seconds", low=0.0)
-    _check_number(
-        overhead.get("scrub_attached_seconds"), "overhead.scrub_attached_seconds", low=0.0
-    )
-    _check_number(overhead.get("overhead_fraction"), "overhead.overhead_fraction")
-    _check_number(overhead.get("budget"), "overhead.budget", low=0.0)
-    _check_bool(overhead.get("within_budget"), "overhead.within_budget must be a bool")
 
-    checks = payload.get("checks")
-    _require(isinstance(checks, dict), "checks must be an object")
-    for field in _REQUIRED_TRUE_CHECKS:
-        _require(
-            checks.get(field) is True,
-            f"checks.{field} must be true — the chaos run did not recover",
-        )
-    _check_bool(
-        checks.get("scrub_overhead_within_budget"),
-        "checks.scrub_overhead_within_budget must be a bool",
-    )
-    return payload
+_RESILIENCE = Gated(
+    {
+        "schema_version": RESILIENCE_SCHEMA_VERSION,
+        "benchmark": "resilience",
+        "profile": Fixed("full", "smoke"),
+        "config": {
+            **MODEL_CONFIG,
+            "n_requests": int,
+            "n_workers": int,
+            "fault_ber": FRACTION,
+            "fault_target": str,
+        },
+        "environment": ENVIRONMENT,
+        "serving": {
+            "requests": Int(ge=1),
+            "availability": FRACTION,
+            **dict.fromkeys(("detected", "repaired", "post_repair_bit_identical"), bool),
+            "detection_seconds": Omittable(_SECONDS, null=True),
+            "repair_seconds": Omittable(_SECONDS, null=True),
+            "injection": {"target": str, "elements_flipped": Int(ge=1)},
+            "scrub": dict.fromkeys(_SCRUB_COUNTS, COUNT),
+        },
+        "training": {
+            "n_workers": int,
+            "parallel_executed": bool,
+            "respawns": COUNT,
+            "counters_bit_identical": bool,
+            "class_vectors_bit_identical": bool,
+        },
+        "overhead": {
+            "baseline_seconds": _SECONDS,
+            "scrub_attached_seconds": _SECONDS,
+            "overhead_fraction": float,
+            "budget": _SECONDS,
+            "within_budget": bool,
+        },
+        "checks": {
+            **dict.fromkeys(_REQUIRED_TRUE_CHECKS, True),
+            "scrub_overhead_within_budget": bool,
+        },
+    },
+    (_worker_kill_respawned,),
+)
+
+
+def validate_resilience_payload(payload: object) -> dict:
+    """Validate a loaded ``BENCH_resilience.json`` payload; returns it.
+
+    Raises ``ValueError`` naming the first violation found — including
+    any failed recovery gate (a chaos run that did not detect, repair, and
+    restore bit-identity does not produce a valid report).
+    """
+    return validate("resilience", _RESILIENCE, payload)

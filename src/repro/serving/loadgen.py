@@ -41,8 +41,6 @@ persistence round-trip), and the request accounting must balance
 from __future__ import annotations
 
 import asyncio
-import json
-import platform
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
@@ -62,6 +60,7 @@ from repro.serving.service import (
     ServiceOverloadedError,
 )
 from repro.serving.shard import PipelinedClient, ShardedServer, shard_for
+from repro.utils.artifact import environment, write_artifact
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive_int
 
@@ -173,14 +172,6 @@ class LoadgenConfig:
             tenant_quota=self.tenant_quota,
             dispatch=self.dispatch,
         )
-
-
-def _environment() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
 
 
 def throughput_timeline(
@@ -585,7 +576,7 @@ def _run_fleet_loadgen(workload: BenchWorkload, config: LoadgenConfig) -> dict:
             "per_tenant_bit_identity": bool(per_tenant_identity),
             "swap_zero_downtime": swap_zero_downtime,
         },
-        "environment": _environment(),
+        "environment": environment(),
         "telemetry": telemetry_registry.snapshot(),
     }
     return validate_serving_payload(payload)
@@ -965,7 +956,7 @@ def _run_open_loop(workload: BenchWorkload, config: LoadgenConfig) -> dict:
         },
         "results": results,
         "checks": checks,
-        "environment": _environment(),
+        "environment": environment(),
         "telemetry": telemetry_registry.snapshot(),
     }
     return validate_serving_payload(payload)
@@ -1074,7 +1065,7 @@ def run_loadgen(
             "predictions_match_single": bool(np.array_equal(predictions, expected)),
             "zero_dropped": stats["dropped"] == 0 and stats["failed"] == 0,
         },
-        "environment": _environment(),
+        "environment": environment(),
         "telemetry": registry.snapshot(),
     }
     return validate_serving_payload(payload)
@@ -1124,8 +1115,4 @@ def write_serving_file(
             f"{sorted(DEFAULT_SERVING_WORKLOADS) + ['fleet-' + p for p in sorted(DEFAULT_SERVING_WORKLOADS)]}"
         ) from None
     payload = run_loadgen(workload, config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "BENCH_serving.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_artifact(Path(out_dir) / "BENCH_serving.json", payload)

@@ -72,7 +72,7 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
-import queue as queue_module
+import multiprocessing.connection
 import signal
 import time
 import zlib
@@ -117,11 +117,10 @@ def shard_for(tenant: str, n_shards: int) -> int:
 
 
 def _shard_main(
-    index: int,
     host: str,
     models: list[tuple[str, str]],
     config: MicrobatchConfig,
-    control,
+    ready,
     allow_partial_fit: bool,
     scrub_interval: float,
 ) -> None:
@@ -129,9 +128,11 @@ def _shard_main(
 
     Builds the registry replica from the published artifacts, serves a
     pipelined :class:`~repro.serving.server.ServingServer` on an
-    ephemeral port, reports ``("ready", index, port)`` on the control
-    queue, and drains gracefully on SIGTERM/SIGINT — the same shutdown
-    discipline as ``repro serve``.
+    ephemeral port, sends that port down its own ``ready`` pipe, and
+    drains gracefully on SIGTERM/SIGINT — the same shutdown discipline as
+    ``repro serve``.  The pipe belongs to this incarnation alone and is
+    written from this thread: a shard killed at any point cannot leave a
+    lock held that its replacement would need.
     """
     # Imports kept local so a spawn-start child pays them here, not at
     # module import in the parent's hot path.
@@ -160,7 +161,8 @@ def _shard_main(
             pipelined=True,
         )
         await server.start()
-        control.put(("ready", index, server.port))
+        ready.send(server.port)
+        ready.close()
         shutdown = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -209,6 +211,7 @@ class _ShardLink:
         "reader_task",
         "pending",
         "ready",
+        "ready_pipe",
         "recovering",
         "forwarded",
         "answered",
@@ -224,6 +227,8 @@ class _ShardLink:
         self.reader_task: asyncio.Task | None = None
         self.pending: dict[int, _Pending] = {}
         self.ready = asyncio.Event()
+        #: Read end of the current incarnation's port report.
+        self.ready_pipe = None
         self.recovering = False
         self.forwarded = 0
         self.answered = 0
@@ -257,9 +262,6 @@ class ShardedServer:
         failed (pending and future requests to it answer
         ``unavailable``), mirroring
         :class:`~repro.parallel.executor.ProcessExecutor`'s budget.
-    start_method:
-        ``fork`` / ``spawn`` / ``forkserver``; default
-        :func:`~repro.parallel.executor.default_start_method`.
     """
 
     def __init__(
@@ -272,7 +274,6 @@ class ShardedServer:
         allow_partial_fit: bool = False,
         scrub_interval: float = 0.0,
         max_respawns: int = DEFAULT_MAX_RESPAWNS,
-        start_method: str | None = None,
         ready_timeout: float = DEFAULT_READY_TIMEOUT,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
     ):
@@ -288,9 +289,6 @@ class ShardedServer:
         self.allow_partial_fit = bool(allow_partial_fit)
         self.scrub_interval = float(scrub_interval)
         self.max_respawns = int(max_respawns)
-        self.start_method = (
-            start_method if start_method is not None else default_start_method()
-        )
         self.ready_timeout = float(ready_timeout)
         self.drain_timeout = float(drain_timeout)
         #: Latest published artifact path per tenant, in first-publish
@@ -308,7 +306,6 @@ class ShardedServer:
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._context = None
-        self._control = None
         self._admin_lock: asyncio.Lock | None = None
         self._running = False
         self._next_sid = 0
@@ -344,8 +341,7 @@ class ShardedServer:
             return self
         self._loop = asyncio.get_running_loop()
         self._admin_lock = asyncio.Lock()
-        self._context = multiprocessing.get_context(self.start_method)
-        self._control = self._context.Queue()
+        self._context = multiprocessing.get_context(default_start_method())
         self._running = True
         try:
             for link in self._links:
@@ -412,9 +408,10 @@ class ShardedServer:
         await asyncio.get_running_loop().run_in_executor(
             None, reap_processes, processes
         )
-        if self._control is not None:
-            self._control.close()
-            self._control = None
+        for link in self._links:
+            if link.ready_pipe is not None:
+                link.ready_pipe.close()
+                link.ready_pipe = None
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -431,20 +428,25 @@ class ShardedServer:
 
     def _spawn_shard(self, link: _ShardLink) -> None:
         """Start one shard process plus its death watcher (incarnation-tagged)."""
+        ready_pipe, ready_end = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_shard_main,
             args=(
-                link.index,
                 self.host,
                 list(self._published.items()),
                 self.config,
-                self._control,
+                ready_end,
                 self.allow_partial_fit,
                 self.scrub_interval,
             ),
             daemon=True,
         )
         process.start()
+        # Only the shard holds the write end, so its death reads as EOF.
+        ready_end.close()
+        if link.ready_pipe is not None:
+            link.ready_pipe.close()
+        link.ready_pipe = ready_pipe
         link.process = process
         incarnation = link.incarnation
 
@@ -462,7 +464,7 @@ class ShardedServer:
         watch_process(process, _on_exit, name=f"shard-watch-{link.index}")
 
     async def _await_ready(self, expected: set[int]) -> dict[int, int]:
-        """Collect ``("ready", index, port)`` for every expected shard."""
+        """Read the bound port from every expected shard's ready pipe."""
         ports: dict[int, int] = {}
         deadline = time.monotonic() + self.ready_timeout
         while expected:
@@ -472,23 +474,24 @@ class ShardedServer:
                     f"shards {sorted(expected)} did not report ready within "
                     f"{self.ready_timeout}s"
                 )
-            try:
-                message = await self._loop.run_in_executor(
-                    None, self._control.get, True, min(remaining, 0.5)
+            if not self._running:
+                raise WorkerError(
+                    f"sharded server stopped before shards {sorted(expected)} "
+                    "reported ready"
                 )
-            except queue_module.Empty:
-                for index in list(expected):
-                    process = self._links[index].process
-                    if process is not None and process.exitcode is not None:
-                        raise WorkerError(
-                            f"shard {index} exited with code {process.exitcode} "
-                            "before reporting ready",
-                            worker_index=index,
-                        )
-                continue
-            kind, index, port = message
-            if kind == "ready" and index in expected:
-                ports[index] = port
+            pipes = {self._links[index].ready_pipe: index for index in expected}
+            readable = await self._loop.run_in_executor(
+                None, multiprocessing.connection.wait, list(pipes), min(remaining, 0.5)
+            )
+            for pipe in readable:
+                index = pipes[pipe]
+                try:
+                    ports[index] = pipe.recv()
+                except (EOFError, OSError):
+                    raise WorkerError(
+                        f"shard {index} exited before reporting ready",
+                        worker_index=index,
+                    ) from None
                 expected.discard(index)
         return ports
 
@@ -580,6 +583,10 @@ class ShardedServer:
                     await self._connect(link)
                 except WorkerError:
                     link.incarnation += 1  # invalidate the failed attempt
+                    if link.process.is_alive():
+                        link.process.kill()
+                    if not self._running:
+                        return  # stopping: teardown fails what is pending
                     continue
                 # Replay every request the dead incarnation left
                 # unanswered (or that queued up while it was down), in
@@ -634,8 +641,14 @@ class ShardedServer:
         # neither happened.
         if not entry.future.done() and not entry.sent:
             entry.sent = True
-            link.writer.write(payload)
-            await link.writer.drain()
+            try:
+                link.writer.write(payload)
+                await link.writer.drain()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                # The shard died under the write.  The entry stays
+                # pending, so the slot's recovery replays it and the
+                # answer still resolves the future below.
+                pass
         response = dict(await entry.future)
         response["id"] = client_id
         return response

@@ -34,8 +34,6 @@ deterministic sketch, and sequential update ordering.
 from __future__ import annotations
 
 import asyncio
-import json
-import platform
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -58,6 +56,7 @@ from repro.streaming.schema import (
     STREAMING_SCHEMA_VERSION,
     validate_streaming_payload,
 )
+from repro.utils.artifact import environment, write_artifact
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive_int
 
@@ -128,14 +127,6 @@ STREAM_PROFILES: dict[str, StreamBenchConfig] = {
         sketch_capacity=64,
     ),
 }
-
-
-def _environment() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
 
 
 def _build_encoder(config: StreamBenchConfig, quantizer) -> LookupEncoder:
@@ -328,7 +319,7 @@ def run_stream_bench(config: StreamBenchConfig | None = None) -> dict:
             "serving_zero_dropped": serving["dropped"] == 0,
             "serving_live_bit_identity": serving["live_matches_offline"],
         },
-        "environment": _environment(),
+        "environment": environment(),
         "telemetry": registry.snapshot(),
     }
     return validate_streaming_payload(payload)
@@ -349,11 +340,7 @@ def write_streaming_file(
                 f"{sorted(STREAM_PROFILES)}"
             ) from None
     payload = run_stream_bench(config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "BENCH_streaming.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_artifact(Path(out_dir) / "BENCH_streaming.json", payload)
 
 
 def override_config(

@@ -1,7 +1,7 @@
-"""Structural schema for the ``BENCH_streaming.json`` artifact.
+"""Schema for the ``BENCH_streaming.json`` artifact.
 
-Hand-rolled like :mod:`repro.serving.schema` (no jsonschema dependency).
-Beyond structure, the schema *is* the streaming acceptance gate: a
+Field spec plus named gates for :mod:`repro.utils.artifact`. Beyond
+structure, the schema *is* the streaming acceptance gate: a
 payload whose streaming learner failed to recover to within
 :data:`RECOVERY_TOLERANCE` of the full-pass oracle after abrupt drift,
 whose boundary divergence exceeded the sketch's error guarantee, or
@@ -13,9 +13,11 @@ plausible-looking artifact.
 
 from __future__ import annotations
 
-from numbers import Real
-
-from repro.telemetry.schema import validate_snapshot
+from repro.telemetry.schema import SNAPSHOT
+from repro.utils.artifact import (
+    COUNT, ENVIRONMENT, FRACTION, MODEL_CONFIG, Gated, Int, ListOf, MapOf, Number, require,
+    validate,
+)
 
 STREAMING_SCHEMA_VERSION = 1
 
@@ -23,184 +25,107 @@ STREAMING_SCHEMA_VERSION = 1
 #: streaming learner, tail-averaged) must not exceed this.
 RECOVERY_TOLERANCE = 0.02
 
-_WORKLOAD_INT_FIELDS = (
-    "dim",
-    "levels",
-    "chunk_size",
-    "n_features",
-    "n_classes",
-    "seed",
-    "n_batches",
-    "batch_size",
-    "sketch_capacity",
-    "window",
-)
 _MODES = ("incremental", "abrupt")
-_SKETCH_INT_FIELDS = ("capacity", "n", "retained", "levels", "compactions", "max_rank_error")
+_REQUIRED_TRUE_CHECKS = (
+    "abrupt_recovery_within_tolerance",
+    "divergence_within_bound",
+    "serving_zero_dropped",
+    "serving_live_bit_identity",
+)
+_SKETCH_COUNTS = ("capacity", "n", "retained", "levels", "compactions", "max_rank_error")
+
+_MODE = {
+    "accuracy": dict.fromkeys(("streaming", "oracle"), ListOf(FRACTION)),
+    "tail_batches": Int(ge=1),
+    **dict.fromkeys(("streaming_tail_accuracy", "oracle_tail_accuracy"), FRACTION),
+    "recovery_gap": float,
+    "boundary_divergence": Number(ge=0),
+    "divergence_bound": Number(gt=0),
+    "sketch": {**dict.fromkeys(_SKETCH_COUNTS, COUNT), "rank_error_bound": float},
+    "quantizer_version": Int(ge=1),
+}
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(f"streaming schema violation: {message}")
-
-
-def _check_number(value: object, message: str) -> None:
-    _require(isinstance(value, Real) and not isinstance(value, bool), message)
-
-
-def _check_count(value: object, message: str) -> None:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-        message,
-    )
-
-
-def _check_fraction(value: object, message: str) -> None:
-    _check_number(value, message)
-    _require(0.0 <= value <= 1.0, message)
-
-
-def _validate_mode(name: str, mode: object, workload: dict) -> None:
-    _require(isinstance(mode, dict), f"modes.{name} must be an object")
-    accuracy = mode.get("accuracy")
-    _require(isinstance(accuracy, dict), f"modes.{name}.accuracy must be an object")
-    for series in ("streaming", "oracle"):
-        values = accuracy.get(series)
-        _require(
-            isinstance(values, list) and len(values) == workload["n_batches"],
-            f"modes.{name}.accuracy.{series} must list one value per batch",
-        )
-        for value in values:
-            _check_fraction(
-                value, f"modes.{name}.accuracy.{series} entries must be in [0, 1]"
-            )
-    _check_count(mode.get("tail_batches"), f"modes.{name}.tail_batches must be a count")
-    _require(
-        0 < mode["tail_batches"] <= workload["n_batches"],
-        f"modes.{name}.tail_batches must be in (0, n_batches]",
-    )
-    for field in ("streaming_tail_accuracy", "oracle_tail_accuracy"):
-        _check_fraction(mode.get(field), f"modes.{name}.{field} must be in [0, 1]")
-    _check_number(mode.get("recovery_gap"), f"modes.{name}.recovery_gap must be a number")
-    _require(
-        abs(
-            mode["recovery_gap"]
-            - (mode["oracle_tail_accuracy"] - mode["streaming_tail_accuracy"])
-        )
-        < 1e-9,
-        f"modes.{name}.recovery_gap must equal oracle minus streaming tail accuracy",
-    )
-    divergence = mode.get("boundary_divergence")
-    bound = mode.get("divergence_bound")
-    _check_number(divergence, f"modes.{name}.boundary_divergence must be a number")
-    _require(divergence >= 0, f"modes.{name}.boundary_divergence must be >= 0")
-    _check_number(bound, f"modes.{name}.divergence_bound must be a number")
-    _require(bound > 0, f"modes.{name}.divergence_bound must be positive")
-    _require(
-        divergence <= bound,
-        f"modes.{name}: streaming boundary placement diverged beyond the "
-        f"sketch error guarantee ({divergence} > {bound})",
-    )
-    sketch = mode.get("sketch")
-    _require(isinstance(sketch, dict), f"modes.{name}.sketch must be an object")
-    for field in _SKETCH_INT_FIELDS:
-        _check_count(sketch.get(field), f"modes.{name}.sketch.{field} must be a count")
-    _check_number(
-        sketch.get("rank_error_bound"),
-        f"modes.{name}.sketch.rank_error_bound must be a number",
-    )
-    _require(
-        sketch["capacity"] == workload["sketch_capacity"],
-        f"modes.{name}.sketch.capacity must match workload.sketch_capacity",
-    )
-    _check_count(
-        mode.get("quantizer_version"), f"modes.{name}.quantizer_version must be a count"
-    )
-    _require(
-        mode["quantizer_version"] >= 1,
-        f"modes.{name}.quantizer_version must be >= 1 (boundaries never learned?)",
-    )
-
-
-def validate_streaming_payload(payload: object) -> dict:
-    """Validate a loaded ``BENCH_streaming.json`` payload; returns it on success.
-
-    Raises ``ValueError`` describing the first violation found.
-    """
-    _require(isinstance(payload, dict), "payload must be a JSON object")
-    _require(
-        payload.get("schema_version") == STREAMING_SCHEMA_VERSION,
-        f"schema_version must be {STREAMING_SCHEMA_VERSION}",
-    )
-    _require(payload.get("benchmark") == "streaming", "benchmark must be 'streaming'")
-
-    workload = payload.get("workload")
-    _require(isinstance(workload, dict), "workload must be an object")
-    for field in _WORKLOAD_INT_FIELDS:
-        _require(
-            isinstance(workload.get(field), int) and not isinstance(workload[field], bool),
-            f"workload.{field} must be an int",
-        )
-    _check_number(workload.get("drift_magnitude"), "workload.drift_magnitude must be a number")
-    _require(workload["drift_magnitude"] >= 0, "workload.drift_magnitude must be >= 0")
-    _check_number(workload.get("decay"), "workload.decay must be a number")
-    _require(0.0 < workload["decay"] <= 1.0, "workload.decay must be in (0, 1]")
-
-    modes = payload.get("modes")
-    _require(isinstance(modes, dict), "modes must be an object")
+def _modes_consistent(payload: dict) -> None:
+    """Each drift mode matches its workload and stays within the sketch bound."""
+    workload = payload["workload"]
     for name in _MODES:
-        _validate_mode(name, modes.get(name), workload)
-    _require(
-        modes["abrupt"]["recovery_gap"] <= RECOVERY_TOLERANCE,
+        mode = payload["modes"][name]
+        for series in ("streaming", "oracle"):
+            require(
+                len(mode["accuracy"][series]) == workload["n_batches"],
+                f"modes.{name}.accuracy.{series} must list one value per batch",
+            )
+        require(
+            mode["tail_batches"] <= workload["n_batches"],
+            f"modes.{name}.tail_batches must be in (0, n_batches]",
+        )
+        gap = mode["oracle_tail_accuracy"] - mode["streaming_tail_accuracy"]
+        require(
+            abs(mode["recovery_gap"] - gap) < 1e-9,
+            f"modes.{name}.recovery_gap must equal oracle minus streaming tail accuracy",
+        )
+        divergence, bound = mode["boundary_divergence"], mode["divergence_bound"]
+        require(
+            divergence <= bound,
+            f"modes.{name}: streaming boundary placement diverged beyond the "
+            f"sketch error guarantee ({divergence} > {bound})",
+        )
+        require(
+            mode["sketch"]["capacity"] == workload["sketch_capacity"],
+            f"modes.{name}.sketch.capacity must match workload.sketch_capacity",
+        )
+
+
+def _abrupt_drift_recovered(payload: dict) -> None:
+    gap = payload["modes"]["abrupt"]["recovery_gap"]
+    require(
+        gap <= RECOVERY_TOLERANCE,
         "streaming learner failed to recover to within "
         f"{RECOVERY_TOLERANCE:.0%} of the full-pass oracle after abrupt drift "
-        f"(gap {modes['abrupt']['recovery_gap']})",
+        f"(gap {gap})",
     )
 
-    serving = payload.get("serving")
-    _require(isinstance(serving, dict), "serving must be an object")
-    for field in ("updates", "predicts", "dropped"):
-        _check_count(serving.get(field), f"serving.{field} must be a count")
-    _require(serving["updates"] >= 1, "serving.updates must be >= 1")
-    _require(serving["predicts"] >= 1, "serving.predicts must be >= 1")
-    _require(serving["dropped"] == 0, "live partial_fit dropped admitted requests")
-    flush_reasons = serving.get("flush_reasons")
-    _require(
-        isinstance(flush_reasons, dict) and flush_reasons,
-        "serving.flush_reasons must be a non-empty object",
-    )
-    for reason, count in flush_reasons.items():
-        _require(isinstance(reason, str), "flush reasons must be strings")
-        _check_count(count, f"serving.flush_reasons[{reason!r}] must be a count")
-    _require(
-        flush_reasons.get("update") == serving["updates"],
+
+def _live_updates_exact(payload: dict) -> None:
+    serving = payload["serving"]
+    require(serving["dropped"] == 0, "live partial_fit dropped admitted requests")
+    require(
+        serving["flush_reasons"].get("update") == serving["updates"],
         "serving.flush_reasons['update'] must equal serving.updates",
     )
-    _require(
-        serving.get("live_matches_offline") is True,
+    require(
+        serving["live_matches_offline"],
         "live-served model diverged from the offline sequential replica",
     )
 
-    checks = payload.get("checks")
-    _require(isinstance(checks, dict), "checks must be an object")
-    for gate in (
-        "abrupt_recovery_within_tolerance",
-        "divergence_within_bound",
-        "serving_zero_dropped",
-        "serving_live_bit_identity",
-    ):
-        _require(checks.get(gate) is True, f"checks.{gate} must be true")
 
-    environment = payload.get("environment")
-    _require(isinstance(environment, dict), "environment must be an object")
-    for field in ("python", "numpy", "platform"):
-        _require(
-            isinstance(environment.get(field), str), f"environment.{field} must be a string"
-        )
+_STREAMING = Gated(
+    {
+        "schema_version": STREAMING_SCHEMA_VERSION,
+        "benchmark": "streaming",
+        "workload": {
+            **MODEL_CONFIG,
+            **dict.fromkeys(("n_batches", "batch_size", "sketch_capacity", "window"), int),
+            "drift_magnitude": Number(ge=0),
+            "decay": Number(gt=0, le=1),
+        },
+        "modes": dict.fromkeys(_MODES, _MODE),
+        "serving": {
+            "updates": Int(ge=1),
+            "predicts": Int(ge=1),
+            "dropped": COUNT,
+            "flush_reasons": MapOf(COUNT),
+            "live_matches_offline": bool,
+        },
+        "checks": dict.fromkeys(_REQUIRED_TRUE_CHECKS, True),
+        "environment": ENVIRONMENT,
+        "telemetry": SNAPSHOT,
+    },
+    (_modes_consistent, _abrupt_drift_recovered, _live_updates_exact),
+)
 
-    _require("telemetry" in payload, "payload must embed a telemetry snapshot")
-    try:
-        validate_snapshot(payload["telemetry"])
-    except ValueError as error:
-        _require(False, f"telemetry block invalid: {error}")
-    return payload
+
+def validate_streaming_payload(payload: object) -> dict:
+    """Validate a loaded ``BENCH_streaming.json`` payload; returns it or raises ``ValueError``."""
+    return validate("streaming", _STREAMING, payload)

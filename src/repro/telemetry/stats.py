@@ -17,8 +17,6 @@ micro-workload and reports the relative overhead.
 
 from __future__ import annotations
 
-import json
-import platform
 import sys
 import tempfile
 import time
@@ -35,6 +33,7 @@ from repro.lookhd.inference import FusedFallbackWarning
 from repro.lookhd.online import OnlineLookHD
 from repro.lookhd.persistence import load_classifier, save_classifier
 from repro.telemetry.schema import STATS_SCHEMA_VERSION, validate_stats_payload
+from repro.utils.artifact import environment, write_artifact
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,6 @@ class StatsWorkload:
 
     def config_dict(self) -> dict:
         return asdict(self)
-
-
-def _environment() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
 
 
 def _make_dataset(workload: StatsWorkload):
@@ -130,7 +121,7 @@ def run_stats_workload(workload: StatsWorkload | None = None) -> dict:
         "schema_version": STATS_SCHEMA_VERSION,
         "benchmark": "stats",
         "workload": workload.config_dict(),
-        "environment": _environment(),
+        "environment": environment(),
         "telemetry": snapshot,
     }
     return validate_stats_payload(payload)
@@ -216,9 +207,7 @@ def write_stats_file(
     if overhead is not None:
         payload["overhead"] = overhead
         validate_stats_payload(payload)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out_path = write_artifact(Path(out_path), payload)
     counters = payload["telemetry"]["counters"]
     for name in sorted(counters):
         print(f"[stats] {name} = {counters[name]}", file=stream)

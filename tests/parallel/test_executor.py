@@ -1,10 +1,16 @@
 """Executor layer: shard planning, shared-memory shipping, typed errors."""
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.parallel.executor import (
     AttachedArray,
     ProcessExecutor,
@@ -174,3 +180,33 @@ class TestProcessExecutor:
 
     def test_default_start_method_is_supported(self):
         assert default_start_method() in ("fork", "spawn")
+
+    def test_process_exits_after_failing_maps(self, tmp_path):
+        # A failing map terminates the other workers, one of which may hold
+        # the result queue's write lock at that moment; the parent must
+        # still exit.  Before the fix, about one failing map in fifteen
+        # left exit waiting forever on the parent's queue feeder thread.
+        script = tmp_path / "failing_maps.py"
+        script.write_text(textwrap.dedent(
+            """
+            from repro.parallel.executor import ProcessExecutor, WorkerError
+
+            def fail_on_three(task):
+                if task == 3:
+                    raise ValueError("boom three")
+                return task
+
+            if __name__ == "__main__":
+                for _ in range(40):
+                    try:
+                        ProcessExecutor(n_workers=2).map(fail_on_three, [1, 2, 3, 4])
+                    except WorkerError:
+                        pass
+            """
+        ))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr.decode()

@@ -1,10 +1,14 @@
 """Every committed ``BENCH_*.json`` at the repo root still validates.
 
 Old artifacts are the repo's performance record, so a schema change that
-stops reading them must fail here rather than orphan the history.
+stops reading them must fail here rather than orphan the history.  The
+same artifacts pin the checker's type rules and the writer's byte format.
 """
 
+import copy
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,9 @@ from repro.faults import validate_faults_payload
 from repro.resilience import validate_resilience_payload
 from repro.serving import validate_serving_payload
 from repro.streaming import validate_streaming_payload
+from repro.telemetry import validate_snapshot, validate_stats_payload
+from repro.telemetry.stats import StatsWorkload, run_stats_workload
+from repro.utils.artifact import write_artifact
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +42,85 @@ def test_every_committed_artifact_is_covered():
 def test_committed_artifact_validates(name):
     payload = json.loads((ROOT / name).read_text())
     assert ARTIFACTS[name](payload) is payload
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_writer_reproduces_committed_bytes(name, tmp_path):
+    text = (ROOT / name).read_text()
+    write_artifact(tmp_path / name, json.loads(text))
+    assert (tmp_path / name).read_text() == text
+
+
+def test_writer_rejects_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        write_artifact(tmp_path / "BENCH_x.json", {"unchecked": float("nan")})
+    assert not (tmp_path / "BENCH_x.json").exists()
+
+
+# -- type rules: an int is never a bool, a number is always finite -----------
+
+VALIDATORS = {**ARTIFACTS, "STATS.json": validate_stats_payload, "snapshot": validate_snapshot}
+
+#: One int field and one number field per artifact kind, each named by the
+#: dotted path its schema error must quote.
+FIELDS = (
+    (
+        "BENCH_training.json",
+        "workloads[0].config.dim",
+        "workloads[0].timings['train_lookup'].seconds_median",
+    ),
+    ("BENCH_inference.json", "workloads[1].config.seed", "workloads[0].speedups['predict']"),
+    ("BENCH_faults.json", "config.dim", "models[0].curve[0].accuracy_std"),
+    ("BENCH_resilience.json", "serving.requests", "overhead.overhead_fraction"),
+    ("BENCH_serving.json", "workload.n_requests", "results.throughput_rps"),
+    ("BENCH_streaming.json", "workload.window", "modes.abrupt.sketch.rank_error_bound"),
+    (
+        "STATS.json",
+        "workload.dim",
+        "telemetry.timers['trainer.observe_seconds'].total_seconds",
+    ),
+    (
+        "snapshot",
+        "timers['trainer.observe_seconds'].count",
+        "histograms['online.rival_push'].buckets[0]",
+    ),
+)
+TYPE_CASES = [
+    case
+    for name, int_field, number_field in FIELDS
+    for case in (
+        (name, int_field, True),
+        (name, number_field, math.nan),
+        (name, number_field, math.inf),
+    )
+]
+
+_STEP = re.compile(r"\.?([A-Za-z_]\w*)|\[(\d+)\]|\['([^']*)'\]")
+
+
+def _set(payload, path, value):
+    keys = [name or (int(index) if index else key) for name, index, key in _STEP.findall(path)]
+    for key in keys[:-1]:
+        payload = payload[key]
+    payload[keys[-1]] = value
+
+
+@pytest.fixture(scope="module")
+def stats_payload():
+    return run_stats_workload(
+        StatsWorkload(dim=128, n_features=16, n_train=120, n_test=60, seed=11)
+    )
+
+
+@pytest.mark.parametrize(("name", "field", "value"), TYPE_CASES)
+def test_int_is_never_bool_and_number_always_finite(name, field, value, stats_payload):
+    if name == "STATS.json":
+        payload = copy.deepcopy(stats_payload)
+    elif name == "snapshot":
+        payload = copy.deepcopy(stats_payload["telemetry"])
+    else:
+        payload = json.loads((ROOT / name).read_text())
+    VALIDATORS[name](copy.deepcopy(payload))
+    _set(payload, field, value)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        VALIDATORS[name](payload)

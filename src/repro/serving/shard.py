@@ -474,12 +474,12 @@ class ShardedServer:
                     f"shards {sorted(expected)} did not report ready within "
                     f"{self.ready_timeout}s"
                 )
-            if not self._running:
+            pipes = {self._links[index].ready_pipe: index for index in expected}
+            if None in pipes:  # torn down after the stop's drain window
                 raise WorkerError(
                     f"sharded server stopped before shards {sorted(expected)} "
                     "reported ready"
                 )
-            pipes = {self._links[index].ready_pipe: index for index in expected}
             readable = await self._loop.run_in_executor(
                 None, multiprocessing.connection.wait, list(pipes), min(remaining, 0.5)
             )
@@ -586,7 +586,12 @@ class ShardedServer:
                     if link.process.is_alive():
                         link.process.kill()
                     if not self._running:
-                        return  # stopping: teardown fails what is pending
+                        # Stopping: no further attempt; answer every
+                        # waiter instead of leaving it on link.ready.
+                        self._fail_shard(
+                            link, f"sharded server stopped before shard {link.index} recovered"
+                        )
+                        return
                     continue
                 # Replay every request the dead incarnation left
                 # unanswered (or that queued up while it was down), in

@@ -113,15 +113,21 @@ def Number(ge: float | None = None, gt: float | None = None, le: float | None = 
     return _bounded("a finite number", _is_finite, {">=": ge, ">": gt, "<=": le})
 
 
+def _same_kind(found: object, value: object) -> bool:
+    if isinstance(value, bool):
+        return isinstance(found, bool)
+    if isinstance(value, int):
+        return _is_int(found)
+    return not isinstance(found, bool)
+
+
 def Fixed(*values: object) -> Leaf:
-    """One of ``values``; a bool matches only a bool, so ``1`` is never ``true``."""
+    """One of ``values``; a bool matches only a bool and an int only an int,
+    so ``1`` is never ``true`` and ``0.0`` is never ``0``."""
     shown = " or ".join(json.dumps(value) for value in values)
     return Leaf(
         f"one of {shown}" if len(values) > 1 else shown,
-        lambda found: any(
-            found == value and isinstance(found, bool) == isinstance(value, bool)
-            for value in values
-        ),
+        lambda found: any(found == value and _same_kind(found, value) for value in values),
     )
 
 

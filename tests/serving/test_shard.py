@@ -9,7 +9,10 @@ and the answered responses themselves — not implementation internals.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -193,6 +196,66 @@ class TestShardedServer:
         assert stats["dropped"] == 0
         assert health["shards"][str(victim)]["incarnation"] >= 1
         assert health["shards"][str(victim)]["alive"] is True
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    def test_stop_during_respawn_answers_waiting_requests(
+        self, tenant_artifacts, queries
+    ):
+        # Requests that queue for a shard while it respawns must still be
+        # answered when stop() lands before the respawn has finished: the
+        # respawn completes inside the drain window and replays them.
+        alpha_clf, _ = tenant_artifacts["alpha"]
+        victim = shard_for("alpha", 2)
+        expected = alpha_clf.predict(queries)
+
+        async def until(condition):
+            while not condition():
+                await asyncio.sleep(0.005)
+
+        async def drive():
+            server = ShardedServer(
+                _models(tenant_artifacts),
+                n_shards=2,
+                config=MicrobatchConfig(max_batch=8, max_wait_ms=20.0),
+            )
+            await server.start()
+            try:
+                async with await PipelinedClient.connect(
+                    server.host, server.port
+                ) as client:
+                    server.kill_shard(victim)
+                    await asyncio.wait_for(
+                        until(lambda: server.request_stats()["respawns"] >= 1), 30
+                    )
+                    # Hold the fresh shard before it reports ready, so the
+                    # stop lands mid-respawn.
+                    respawned = server._links[victim].process.pid
+                    os.kill(respawned, signal.SIGSTOP)
+                    tasks = [
+                        asyncio.create_task(client.request(
+                            {"op": "predict", "tenant": "alpha",
+                             "x": row.tolist()}
+                        ))
+                        for row in queries
+                    ]
+                    await asyncio.wait_for(
+                        until(lambda: server.request_stats()["forwarded"] >= len(queries)),
+                        30,
+                    )
+                    stopping = asyncio.create_task(server.stop())
+                    await asyncio.sleep(1.0)
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(respawned, signal.SIGCONT)
+                    responses = await asyncio.wait_for(asyncio.gather(*tasks), 30)
+                await asyncio.wait_for(stopping, 30)
+            finally:
+                await server.stop()
+            return responses, server.request_stats()
+
+        responses, stats = asyncio.run(drive())
+        got = np.asarray([r["prediction"] for r in responses])
+        np.testing.assert_array_equal(got, expected)
+        assert stats["dropped"] == 0 and stats["pending"] == 0
 
     def test_constructor_validation(self, tenant_artifacts):
         with pytest.raises(ValueError, match="n_shards"):

@@ -98,11 +98,12 @@ TYPE_CASES = [
 _STEP = re.compile(r"\.?([A-Za-z_]\w*)|\[(\d+)\]|\['([^']*)'\]")
 
 
-def _set(payload, path, value):
+def _locate(payload, path):
+    """The container holding the field at ``path``, and its key there."""
     keys = [name or (int(index) if index else key) for name, index, key in _STEP.findall(path)]
     for key in keys[:-1]:
         payload = payload[key]
-    payload[keys[-1]] = value
+    return payload, keys[-1]
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +113,7 @@ def stats_payload():
     )
 
 
-@pytest.mark.parametrize(("name", "field", "value"), TYPE_CASES)
-def test_int_is_never_bool_and_number_always_finite(name, field, value, stats_payload):
+def _valid_payload(name, stats_payload):
     if name == "STATS.json":
         payload = copy.deepcopy(stats_payload)
     elif name == "snapshot":
@@ -121,6 +121,29 @@ def test_int_is_never_bool_and_number_always_finite(name, field, value, stats_pa
     else:
         payload = json.loads((ROOT / name).read_text())
     VALIDATORS[name](copy.deepcopy(payload))
-    _set(payload, field, value)
+    return payload
+
+
+@pytest.mark.parametrize(("name", "field", "value"), TYPE_CASES)
+def test_int_is_never_bool_and_number_always_finite(name, field, value, stats_payload):
+    payload = _valid_payload(name, stats_payload)
+    container, key = _locate(payload, field)
+    container[key] = value
+    with pytest.raises(ValueError, match=re.escape(field)):
+        VALIDATORS[name](payload)
+
+
+#: Every int field above, plus the zero-drop counts a gate pins to ``0``.
+INT_FIELDS = [(name, int_field) for name, int_field, _ in FIELDS] + [
+    ("BENCH_serving.json", "results.requests.dropped"),
+    ("BENCH_serving.json", "results.sharding.acceptor.dropped"),
+]
+
+
+@pytest.mark.parametrize(("name", "field"), INT_FIELDS)
+def test_int_is_never_float(name, field, stats_payload):
+    payload = _valid_payload(name, stats_payload)
+    container, key = _locate(payload, field)
+    container[key] = float(container[key])
     with pytest.raises(ValueError, match=re.escape(field)):
         VALIDATORS[name](payload)

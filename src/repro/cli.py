@@ -449,40 +449,29 @@ def _cmd_loadgen(args) -> int:
 
     from repro.serving import LoadgenConfig, write_serving_file
 
-    # Flag-combination validation up front (exit 2, argparse-style): the
-    # open/closed split changes which knobs are meaningful, and a wrong
-    # combination should fail before any model is trained.
-    if args.open_loop and not args.rate:
-        print("--open-loop needs at least one --rate R", file=sys.stderr)
+    # A flag combination LoadgenConfig refuses exits 2 (argparse-style)
+    # before any model is trained; its message names field and flag.
+    try:
+        config = LoadgenConfig(
+            n_requests=args.requests,
+            concurrency=args.concurrency,
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            max_queue_depth=args.max_queue_depth,
+            dispatch=args.dispatch,
+            n_tenants=args.tenants,
+            scenario=args.scenario,
+            tenant_quota=args.tenant_quota,
+            cache_budget_bytes=args.cache_budget_bytes,
+            swap_under_load=args.swap,
+            mode="open" if args.open_loop else "closed",
+            rates=tuple(args.rate or ()),
+            n_shards=args.shards,
+            kill_shard_under_load=args.kill_shard,
+        )
+    except ValueError as error:
+        print(error, file=sys.stderr)
         return 2
-    if args.rate and not args.open_loop:
-        print("--rate is an open-loop knob; pass --open-loop", file=sys.stderr)
-        return 2
-    if args.shards > 1 and not args.open_loop:
-        print("--shards > 1 requires --open-loop (sharded runs are open-loop only)",
-              file=sys.stderr)
-        return 2
-    if args.kill_shard and args.shards < 2:
-        print("--kill-shard needs --shards >= 2", file=sys.stderr)
-        return 2
-
-    config = LoadgenConfig(
-        n_requests=args.requests,
-        concurrency=args.concurrency,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_queue_depth=args.max_queue_depth,
-        dispatch=args.dispatch,
-        n_tenants=args.tenants,
-        scenario=args.scenario,
-        tenant_quota=args.tenant_quota,
-        cache_budget_bytes=args.cache_budget_bytes,
-        swap_under_load=args.swap,
-        mode="open" if args.open_loop else "closed",
-        rates=tuple(args.rate or ()),
-        n_shards=args.shards,
-        kill_shard_under_load=args.kill_shard,
-    )
     path = write_serving_file(args.profile, out_dir=args.out_dir, config=config)
     payload = json.loads(path.read_text())
     results = payload["results"]
@@ -846,8 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--swap",
         action="store_true",
-        help="hot-swap one tenant's model mid-run (fleet mode; the "
-        "availability-1.0 gate covers the swap)",
+        help="hot-swap one tenant's model mid-run to a fresh load of its saved "
+        "artifact (in-process runs only; the availability-1.0 gate covers the swap)",
     )
     loop = loadgen.add_mutually_exclusive_group()
     loop.add_argument(

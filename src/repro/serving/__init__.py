@@ -27,12 +27,15 @@ overhead dominates any single-sample path.  This package closes that gap:
   across N shard processes with CRC32 tenant affinity, broadcast
   publish/evict, per-shard scrubbing, and supervised respawn + in-flight
   replay on shard death.
-* :mod:`~repro.serving.loadgen` — closed- *and* open-loop load
-  generators (``repro loadgen [--open-loop]``): closed loop measures the
-  microbatching speedup with warmup-excluded steady throughput; open
-  loop replays a seeded arrival schedule for coordinated-omission-safe
-  latency percentiles, optionally against the sharded server with a
-  chaos kill.  Both write a schema-validated ``BENCH_serving.json``.
+* :mod:`~repro.serving.loadgen` — one load-generation pipeline
+  (``repro loadgen [--open-loop]``): fit, save and reload the tenants,
+  time the sequential oracle, then drive one ``send(index)`` coroutine
+  into the in-process service or the sharded server.  The closed-loop
+  driver measures the microbatching speedup with warmup-excluded steady
+  throughput; the open-loop driver replays a seeded arrival schedule for
+  coordinated-omission-safe latency percentiles.  Both share the
+  overloaded retry and one halfway hook (hot-swap or chaos kill) and
+  write a schema-validated ``BENCH_serving.json``.
 
 Correctness contract: because every batch row is scored independently by
 the fused engine (per-row gather + sum, identical float summation order),

@@ -7,6 +7,17 @@ through the same fused single-request ``predict`` (so the speedup isolates
 *microbatching*, not fused-vs-reference kernels, which ``repro bench``
 already covers).
 
+Every run is one pipeline: fit 1..N tenants, save each model to an
+artifact and load it back, answer every request sequentially over the
+loaded models (the bit-identity oracle and the speedup baseline), then
+drive the same requests through one ``send(index)`` coroutine.  ``send``
+reaches the one serving target the config names: an in-process
+:class:`~repro.serving.service.InferenceService` over a
+:class:`~repro.serving.registry.ModelRegistry` holding the loaded models,
+or (``n_shards > 1``) a :class:`~repro.serving.shard.ShardedServer`
+serving the saved artifacts behind a
+:class:`~repro.serving.shard.PipelinedClient`.
+
 Two traffic models, because they answer different questions:
 
 * **Closed loop** (default): ``concurrency`` workers each hold at most
@@ -25,16 +36,18 @@ Two traffic models, because they answer different questions:
   actually wrote it — which is what makes the percentiles immune to
   coordinated omission: a stall inflates the latencies of every request
   scheduled during it, exactly as real clients would experience.  Open
-  loop is also the mode that drives the sharded server
-  (:class:`~repro.serving.shard.ShardedServer`), including the optional
-  mid-run chaos kill whose recovery gates the artifact.
+  loop is also the mode that drives the sharded server.
 
-Every run is also a correctness gate: the sequential pass doubles as the
-bit-identical oracle (``checks.predictions_match_single``; sharded runs
-rebuild it from the *same saved artifacts* the shards serve, closing the
-persistence round-trip), and the request accounting must balance
-(``checks.zero_dropped``).  The payload is schema-validated
-(:mod:`repro.serving.schema`) before it is written to
+Both drivers retry an overloaded rejection after one batch window
+(tallied per request) and share one halfway hook: once half the first
+pass has answered, the in-process target hot-swaps the first tenant to a
+fresh load of its own saved artifact (``swap_under_load``), and the
+sharded target SIGKILLs the shard hosting it (``kill_shard_under_load``).
+
+Every run is also a correctness gate: predictions must be bit-identical
+to the oracle (``checks.predictions_match_single``), and the target's own
+request accounting must balance (``checks.zero_dropped``).  The payload
+is schema-validated (:mod:`repro.serving.schema`) before it is written to
 ``BENCH_serving.json``.
 """
 
@@ -105,11 +118,11 @@ class LoadgenConfig:
 
     ``n_tenants > 1`` switches the run into fleet mode: ``n_tenants``
     independently-fitted models (same geometry, per-tenant seeds) are
-    published into a :class:`~repro.serving.registry.ModelRegistry`,
-    traffic is mixed across them per ``scenario``, and — with
-    ``swap_under_load`` — one tenant is hot-swapped to a freshly trained
-    (bit-identical) model halfway through the run, so the artifact's
-    availability and bit-identity gates cover the swap machinery itself.
+    served side by side and traffic is mixed across them per
+    ``scenario``.  With ``swap_under_load``, the first tenant is
+    hot-swapped halfway through the run to a fresh load of its own saved
+    artifact (bit-identical), so the artifact's availability and
+    bit-identity gates cover the swap machinery itself.
     """
 
     n_requests: int = 2_000
@@ -149,20 +162,32 @@ class LoadgenConfig:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.mode == "open":
             if not self.rates:
-                raise ValueError("open-loop mode needs at least one rate")
+                raise ValueError(
+                    "open-loop mode (--open-loop) needs at least one rate (--rate R)"
+                )
             for rate in self.rates:
                 if not rate > 0:
-                    raise ValueError(f"rates must be positive, got {rate}")
+                    raise ValueError(f"rates (--rate) must be positive, got {rate}")
         else:
             if self.rates:
-                raise ValueError("rates are an open-loop knob; set mode='open'")
+                raise ValueError(
+                    "rates (--rate) are an open-loop knob; set mode='open' (--open-loop)"
+                )
             if self.n_shards > 1:
                 raise ValueError(
-                    "sharded runs are open-loop only (closed-loop workers would "
-                    "measure the generator's own backpressure); set mode='open'"
+                    "sharded runs (n_shards > 1, --shards > 1) are open-loop only "
+                    "(closed-loop workers would measure the generator's own "
+                    "backpressure); set mode='open' (--open-loop)"
                 )
         if self.kill_shard_under_load and self.n_shards < 2:
-            raise ValueError("kill_shard_under_load needs n_shards >= 2")
+            raise ValueError(
+                "kill_shard_under_load (--kill-shard) needs n_shards >= 2 (--shards >= 2)"
+            )
+        if self.swap_under_load and self.n_shards > 1:
+            raise ValueError(
+                "swap_under_load (--swap) needs the in-process service; a sharded "
+                "pool (n_shards > 1, --shards > 1) does not hot-swap under load"
+            )
 
     def microbatch(self) -> MicrobatchConfig:
         return MicrobatchConfig(
@@ -228,6 +253,9 @@ def throughput_timeline(
     }
 
 
+# -- tenants and requests ------------------------------------------------------
+
+
 def _fit_classifier(workload: BenchWorkload, data) -> LookHDClassifier:
     clf = LookHDClassifier(
         LookHDConfig(
@@ -241,48 +269,6 @@ def _fit_classifier(workload: BenchWorkload, data) -> LookHDClassifier:
     )
     clf.fit(data.train_features, data.train_labels)
     return clf
-
-
-async def _drive(
-    classifier: LookHDClassifier,
-    requests: np.ndarray,
-    config: LoadgenConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, InferenceService]:
-    """Run the closed loop; returns (predictions, latencies, completion
-    offsets, elapsed, service)."""
-    n = requests.shape[0]
-    predictions = np.full(n, -1, dtype=np.int64)
-    latencies = np.zeros(n, dtype=np.float64)
-    completed_at = np.zeros(n, dtype=np.float64)
-    service = InferenceService(classifier, config.microbatch())
-    await service.start()
-    next_request = 0
-
-    async def worker() -> None:
-        nonlocal next_request
-        while next_request < n:
-            index = next_request
-            next_request += 1
-            started = time.perf_counter()
-            while True:
-                try:
-                    predictions[index] = await service.predict(requests[index])
-                    break
-                except ServiceOverloadedError:
-                    # Closed-loop workers cannot out-queue max_queue_depth
-                    # unless configured to; back off for one batch window.
-                    await asyncio.sleep(config.max_wait_ms / 1_000.0)
-            completed_at[index] = time.perf_counter()
-            latencies[index] = completed_at[index] - started
-
-    run_started = time.perf_counter()
-    await asyncio.gather(*(worker() for _ in range(config.concurrency)))
-    elapsed = time.perf_counter() - run_started
-    await service.stop()
-    return predictions, latencies, completed_at - run_started, elapsed, service
-
-
-# -- fleet (multi-tenant) runs -------------------------------------------------
 
 
 def _tenant_schedule(
@@ -349,240 +335,7 @@ def _fit_fleet(
     return tenants, classifiers, pools
 
 
-async def _drive_fleet(
-    registry: ModelRegistry,
-    tenants: list[str],
-    schedule: np.ndarray,
-    requests: np.ndarray,
-    config: LoadgenConfig,
-    swap: dict | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, InferenceService]:
-    """Closed-loop fleet traffic, optionally hot-swapping mid-run.
-
-    ``swap`` (when set) carries ``{"tenant", "classifier"}``: once half
-    the requests have completed, the replacement model is published from
-    a worker thread — table build off the loop, atomic flip — while the
-    closed loop keeps firing.  The swap dict is updated in place with
-    what happened, and every request must still succeed (that is the
-    availability-1.0 gate).
-    """
-    n = requests.shape[0]
-    predictions = np.full(n, -1, dtype=np.int64)
-    latencies = np.zeros(n, dtype=np.float64)
-    completed_at = np.zeros(n, dtype=np.float64)
-    completed = 0
-    service = InferenceService(registry=registry, config=config.microbatch())
-    await service.start()
-    next_request = 0
-    swap_task: asyncio.Task | None = None
-
-    async def do_swap() -> None:
-        tenant = swap["tenant"]
-        swap["version_before"] = registry.record(tenant).version
-        swap["queue_depth_at_swap"] = service.queue_depth
-        record = await asyncio.get_running_loop().run_in_executor(
-            None, registry.publish, tenant, swap.pop("classifier")
-        )
-        swap["version_after"] = record.version
-        swap["performed"] = True
-
-    async def worker() -> None:
-        nonlocal next_request, completed, swap_task
-        while next_request < n:
-            index = next_request
-            next_request += 1
-            tenant = tenants[schedule[index]]
-            started = time.perf_counter()
-            while True:
-                try:
-                    predictions[index] = await service.predict(
-                        requests[index], tenant=tenant
-                    )
-                    break
-                except ServiceOverloadedError:
-                    # Global or per-tenant-quota backpressure: back off one
-                    # batch window and retry (closed-loop contract — every
-                    # request is eventually answered).
-                    await asyncio.sleep(config.max_wait_ms / 1_000.0)
-            completed_at[index] = time.perf_counter()
-            latencies[index] = completed_at[index] - started
-            completed += 1
-            if swap is not None and swap_task is None and completed >= n // 2:
-                swap_task = asyncio.get_running_loop().create_task(do_swap())
-
-    run_started = time.perf_counter()
-    await asyncio.gather(*(worker() for _ in range(config.concurrency)))
-    elapsed = time.perf_counter() - run_started
-    if swap_task is not None:
-        await swap_task
-    await service.stop()
-    return predictions, latencies, completed_at - run_started, elapsed, service
-
-
-def _run_fleet_loadgen(workload: BenchWorkload, config: LoadgenConfig) -> dict:
-    """Fleet twin of :func:`run_loadgen`: registry, mixed tenants, hot-swap.
-
-    The correctness story mirrors the single-model run, per tenant: each
-    tenant's requests are also answered by a sequential single-request
-    loop over *that tenant's* classifier (the bit-identity oracle).  The
-    swap replacement is trained from the same per-tenant workload
-    (identical config/seed/data), so bit-identity stays checkable across
-    the swap while the full publish/flip machinery runs under live load.
-    """
-    tenants, classifiers, pools = _fit_fleet(workload, config.n_tenants)
-    schedule = _tenant_schedule(
-        config.n_requests, config.n_tenants, config.scenario, workload.seed
-    )
-    requests, tenant_indices = _request_pool(
-        tenants, pools, schedule, config.n_requests, workload.n_features
-    )
-
-    # Sequential per-tenant oracle (also warms each model's tables).
-    expected = np.full(config.n_requests, -1, dtype=np.int64)
-    started = time.perf_counter()
-    for tenant, indices in tenant_indices.items():
-        clf = classifiers[tenant]
-        for index in indices:
-            expected[index] = clf.predict(requests[index])
-    sequential_elapsed = time.perf_counter() - started
-
-    registry = ModelRegistry(cache_budget_bytes=config.cache_budget_bytes)
-    for tenant in tenants:
-        registry.publish(tenant, classifiers[tenant])
-
-    swap = None
-    if config.swap_under_load:
-        swap_tenant = tenants[0]
-        swap_workload = replace(
-            workload, name=f"{workload.name}-{swap_tenant}", seed=workload.seed
-        )
-        swap = {
-            "tenant": swap_tenant,
-            "performed": False,
-            # Same workload, same seed: the replacement is bit-identical,
-            # so the oracle holds across the flip.
-            "classifier": _fit_classifier(swap_workload, swap_workload.make_dataset()),
-        }
-
-    telemetry_registry = telemetry.MetricsRegistry(enabled=True)
-    with telemetry.activated(telemetry_registry):
-        predictions, latencies, completion_offsets, elapsed, service = asyncio.run(
-            _drive_fleet(registry, tenants, schedule, requests, config, swap)
-        )
-
-    stats = service.request_stats()
-    throughput = config.n_requests / max(elapsed, 1e-12)
-    sequential_rps = config.n_requests / max(sequential_elapsed, 1e-12)
-    p50, p99 = (float(v) for v in np.percentile(latencies, (50.0, 99.0)))
-
-    fleet_tenants = {}
-    per_tenant_identity = True
-    for tenant in tenants:
-        indices = np.asarray(tenant_indices[tenant], dtype=np.int64)
-        match = bool(np.array_equal(predictions[indices], expected[indices]))
-        per_tenant_identity = per_tenant_identity and match
-        tenant_stats = stats["tenants"].get(tenant, {})
-        fleet_tenants[tenant] = {
-            "sent": int(indices.size),
-            "completed": int(tenant_stats.get("completed", 0)),
-            "rejected": int(tenant_stats.get("rejected", 0)),
-            "dropped": int(tenant_stats.get("dropped", 0)),
-            "match_single": match,
-        }
-
-    swap_block = {"performed": False}
-    swap_zero_downtime = True
-    if swap is not None:
-        availability = stats["completed"] / max(config.n_requests, 1)
-        swap_zero_downtime = bool(
-            swap["performed"]
-            and swap["version_after"] == swap["version_before"] + 1
-            and availability == 1.0
-            and stats["dropped"] == 0
-            and stats["failed"] == 0
-        )
-        swap_block = {
-            "performed": swap["performed"],
-            "tenant": swap["tenant"],
-            "version_before": swap["version_before"],
-            "version_after": swap["version_after"],
-            "queue_depth_at_swap": swap["queue_depth_at_swap"],
-            "availability": availability,
-        }
-
-    payload = {
-        "schema_version": SERVING_SCHEMA_VERSION,
-        "benchmark": "serving",
-        "workload": {
-            "name": f"{workload.name}-fleet{config.n_tenants}",
-            "dim": workload.dim,
-            "levels": workload.levels,
-            "chunk_size": workload.chunk_size,
-            "n_features": workload.n_features,
-            "n_classes": workload.n_classes,
-            "seed": workload.seed,
-            "n_requests": config.n_requests,
-            "concurrency": config.concurrency,
-            "n_tenants": config.n_tenants,
-            "scenario": config.scenario,
-            "mode": "closed",
-        },
-        "service": {
-            "max_batch": config.max_batch,
-            "max_wait_ms": config.max_wait_ms,
-            "max_queue_depth": config.max_queue_depth,
-            "tenant_quota": config.tenant_quota,
-            "cache_budget_bytes": config.cache_budget_bytes,
-            "n_shards": 1,
-            "fused_active": all(
-                clf.config.fused_inference and clf.fused_engine().enabled
-                for clf in classifiers.values()
-            ),
-        },
-        "results": {
-            "throughput_rps": throughput,
-            "sequential_rps": sequential_rps,
-            "speedup_vs_sequential": throughput / max(sequential_rps, 1e-12),
-            "elapsed_seconds": elapsed,
-            "sequential_elapsed_seconds": sequential_elapsed,
-            "latency_seconds": {
-                "p50": p50,
-                "p99": p99,
-                "mean": float(latencies.mean()),
-                "max": float(latencies.max()),
-            },
-            "batches": {
-                "count": stats["batches"],
-                "mean_size": stats["completed"] / max(stats["batches"], 1),
-                "max_size": service.max_batch_size,
-            },
-            "flush_reasons": dict(service.flush_reasons),
-            "timeline": throughput_timeline(completion_offsets, elapsed),
-            "requests": {
-                "sent": config.n_requests,
-                "completed": stats["completed"],
-                "rejected": stats["rejected"],
-                "dropped": stats["dropped"],
-            },
-            "fleet": {
-                "tenants": fleet_tenants,
-                "registry": registry.describe(),
-            },
-            "swap": swap_block,
-        },
-        "checks": {
-            "predictions_match_single": bool(np.array_equal(predictions, expected)),
-            "zero_dropped": stats["dropped"] == 0 and stats["failed"] == 0,
-            "per_tenant_bit_identity": bool(per_tenant_identity),
-            "swap_zero_downtime": swap_zero_downtime,
-        },
-        "environment": environment(),
-        "telemetry": telemetry_registry.snapshot(),
-    }
-    return validate_serving_payload(payload)
-
-
-# -- open-loop runs ------------------------------------------------------------
+# -- the drivers ---------------------------------------------------------------
 
 
 def _arrival_schedule(n: int, rate: float, seed, label: str) -> np.ndarray:
@@ -591,345 +344,322 @@ def _arrival_schedule(n: int, rate: float, seed, label: str) -> np.ndarray:
     return np.cumsum(rng.exponential(1.0 / rate, size=n))
 
 
-async def _drive_open(
-    send,
-    offsets: np.ndarray,
-    backoff_seconds: float,
-    on_halfway=None,
-) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """Fire requests on the arrival schedule; latencies from *intended* times.
+class _Pass:
+    """One pass of ``n`` requests through ``send``: what both drivers share.
 
-    The coordinated-omission discipline, concretely: request ``i`` is due
-    at ``offsets[i]`` after run start.  Its latency is measured from that
-    intended arrival — not from whenever a backlogged sender actually
-    wrote it — so a service stall shows up in the percentiles of every
-    request scheduled during the stall, exactly as concurrent real
-    clients would experience it.  ``max_lag`` (worst send-side slip
-    behind the schedule) is reported so a run where the *generator*
-    could not keep up is visible rather than silently optimistic.
-
-    Overloaded rejections are retried after ``backoff_seconds`` with the
-    latency clock still running from the intended arrival; every
-    scheduled request therefore resolves (the zero-dropped contract).
-    ``on_halfway`` (when set) fires once after half the requests
-    complete — the chaos-kill hook.
+    ``send(index)`` resolves to the prediction, or to ``None`` when the
+    target rejected the request as overloaded.  :meth:`issue` retries
+    each rejection after ``backoff`` seconds (tallied per request, the
+    latency clock still running), so every request resolves: the
+    zero-dropped contract.  ``on_halfway`` (when set) starts as a task
+    once half the requests have answered; :meth:`close` awaits it and
+    keeps its result in ``hook``.
     """
-    n = offsets.shape[0]
-    predictions = np.full(n, -1, dtype=np.int64)
-    latencies = np.zeros(n, dtype=np.float64)
-    rejected = 0
-    completed = 0
-    max_lag = 0.0
-    halfway_fired = on_halfway is None
+
+    def __init__(self, send, n: int, backoff: float, on_halfway=None):
+        self.send = send
+        self.backoff = backoff
+        self.on_halfway = on_halfway
+        self.hook_task: asyncio.Task | None = None
+        self.hook: dict | None = None
+        self.predictions = np.full(n, -1, dtype=np.int64)
+        self.rejected = np.zeros(n, dtype=np.int64)
+        self.answered_at = np.zeros(n, dtype=np.float64)
+        self.completed = 0
+        self.max_lag = 0.0
+
+    async def issue(self, index: int) -> None:
+        while (answer := await self.send(index)) is None:
+            self.rejected[index] += 1
+            await asyncio.sleep(self.backoff)
+        self.predictions[index] = answer
+        self.answered_at[index] = time.perf_counter()
+        self.completed += 1
+        if self.on_halfway is not None and self.completed >= self.predictions.size // 2:
+            self.hook_task = asyncio.get_running_loop().create_task(self.on_halfway())
+            self.on_halfway = None
+
+    async def close(self, start: float, issued_at) -> "_Pass":
+        """Stop the clock; each latency runs from ``issued_at`` to its answer."""
+        self.elapsed = time.perf_counter() - start
+        self.answered = self.answered_at - start
+        self.latencies = np.maximum(self.answered_at - issued_at, 0.0)
+        if self.hook_task is not None:
+            self.hook = await self.hook_task
+        return self
+
+
+async def _closed_loop(run: _Pass, concurrency: int) -> _Pass:
+    """``concurrency`` workers, each issuing its next request the moment
+    its previous answer lands; latency runs from that issue."""
+    n = run.predictions.size
+    issued_at = np.zeros(n, dtype=np.float64)
+    next_request = 0
+
+    async def worker() -> None:
+        nonlocal next_request
+        while next_request < n:
+            index = next_request
+            next_request += 1
+            issued_at[index] = time.perf_counter()
+            await run.issue(index)
+
+    start = time.perf_counter()
+    await asyncio.gather(*(worker() for _ in range(concurrency)))
+    return await run.close(start, issued_at)
+
+
+async def _open_loop(run: _Pass, offsets: np.ndarray) -> _Pass:
+    """Fire request ``i`` at ``offsets[i]`` after the start, answered or not.
+
+    Latency runs from that *intended* arrival — not from whenever a
+    backlogged sender actually wrote it — so a service stall shows up in
+    the percentiles of every request scheduled during the stall, exactly
+    as concurrent real clients would experience it.  ``max_lag`` (worst
+    send-side slip behind the schedule) is reported so a run where the
+    *generator* could not keep up is visible rather than silently
+    optimistic.
+    """
     start = time.perf_counter()
 
     async def fire(index: int) -> None:
-        nonlocal rejected, completed, max_lag, halfway_fired
         target = float(offsets[index])
         delay = target - (time.perf_counter() - start)
         if delay > 0:
             await asyncio.sleep(delay)
-        max_lag = max(max_lag, (time.perf_counter() - start) - target)
-        while True:
-            try:
-                predictions[index] = await send(index)
-                break
-            except ServiceOverloadedError:
-                rejected += 1
-                await asyncio.sleep(backoff_seconds)
-        latencies[index] = (time.perf_counter() - start) - target
-        completed += 1
-        if not halfway_fired and completed >= n // 2:
-            halfway_fired = True
-            on_halfway()
+        run.max_lag = max(run.max_lag, (time.perf_counter() - start) - target)
+        await run.issue(index)
 
-    await asyncio.gather(*(fire(index) for index in range(n)))
-    elapsed = time.perf_counter() - start
-    np.maximum(latencies, 0.0, out=latencies)
-    return predictions, latencies, max(0.0, max_lag), elapsed, rejected
+    await asyncio.gather(*(fire(index) for index in range(offsets.shape[0])))
+    return await run.close(start, start + offsets)
 
 
-async def _sweep_rates(send, config: LoadgenConfig, seed, on_halfway_first=None):
-    """One open-loop run per configured rate; same request set, fresh
-    seeded schedule each.  The chaos hook fires only during the first
-    rate, so later sweep points measure clean steady state."""
-    blocks = []
+async def _passes(send, config: LoadgenConfig, seed, on_halfway) -> list[_Pass]:
+    """The closed loop runs once; the open loop once per rate, each on a
+    fresh seeded schedule.  The halfway hook fires during the first pass
+    only, so later sweep points measure clean steady state."""
+    backoff = config.max_wait_ms / 1_000.0
+    if config.mode == "closed":
+        run = _Pass(send, config.n_requests, backoff, on_halfway)
+        return [await _closed_loop(run, config.concurrency)]
+    passes = []
     for position, rate in enumerate(config.rates):
-        offsets = _arrival_schedule(
-            config.n_requests, float(rate), seed, f"{position}-{rate}"
-        )
-        predictions, latencies, max_lag, elapsed, rejected = await _drive_open(
-            send,
-            offsets,
-            config.max_wait_ms / 1_000.0,
-            on_halfway_first if position == 0 else None,
-        )
-        p50, p90, p99, p999 = (
-            float(v) for v in np.percentile(latencies, (50.0, 90.0, 99.0, 99.9))
-        )
-        blocks.append(
-            {
-                "rate": float(rate),
-                "achieved_rps": config.n_requests / max(elapsed, 1e-12),
-                "requests": config.n_requests,
-                "max_lag_seconds": float(max_lag),
-                "latency_seconds": {
-                    "p50": p50,
-                    "p90": p90,
-                    "p99": p99,
-                    "p999": p999,
-                    "mean": float(latencies.mean()),
-                    "max": float(latencies.max()),
-                },
-                "_predictions": predictions,
-                "_rejected": rejected,
-                "_elapsed": elapsed,
-            }
-        )
-    return blocks
+        offsets = _arrival_schedule(config.n_requests, float(rate), seed, f"{position}-{rate}")
+        run = _Pass(send, config.n_requests, backoff, on_halfway if position == 0 else None)
+        passes.append(await _open_loop(run, offsets))
+    return passes
 
 
-async def _sweep_inprocess(
-    oracle: dict[str, LookHDClassifier],
-    tenants: list[str],
-    schedule: np.ndarray,
-    requests: np.ndarray,
-    config: LoadgenConfig,
-    seed,
-) -> dict:
-    """Open-loop sweep against one in-process service (``n_shards=1``)."""
-    registry = ModelRegistry(cache_budget_bytes=config.cache_budget_bytes)
-    for tenant in tenants:
-        registry.publish(tenant, oracle[tenant])
-    service = InferenceService(registry=registry, config=config.microbatch())
-    await service.start()
-
-    async def send(index: int) -> int:
-        return await service.predict(
-            requests[index], tenant=tenants[schedule[index]]
-        )
-
-    blocks = await _sweep_rates(send, config, seed)
-    await service.stop()
-    return {
-        "blocks": blocks,
-        "acceptor": None,
-        "chaos": {"performed": False},
-        "per_shard": None,
-        "registry_describe": registry.describe(),
-    }
+def _event(run: _Pass) -> dict:
+    """The halfway hook's block: what it did and the availability of the
+    pass it ran in."""
+    if run.hook is None:
+        return {"performed": False}
+    answered = np.count_nonzero(run.predictions >= 0)
+    return {"performed": True, **run.hook, "availability": float(answered) / run.predictions.size}
 
 
-async def _sweep_sharded(
-    models: list[tuple[str, str]],
-    tenants: list[str],
-    schedule: np.ndarray,
-    requests: np.ndarray,
-    config: LoadgenConfig,
-    seed,
-) -> dict:
-    """Open-loop sweep over TCP against a :class:`ShardedServer` pool.
+async def _serve(config: LoadgenConfig, requests, tenant_of, paths, models, seed) -> dict:
+    """Drive every pass through the serving target ``config`` names.
 
-    With ``kill_shard_under_load``, the shard hosting the first tenant is
-    SIGKILLed halfway through the first rate run; the acceptor must
-    respawn it, republish, and replay the in-flight requests so every
-    scheduled request still answers (availability 1.0, zero dropped).
+    Returns the passes, the target's own request accounting (``stats``),
+    the fleet registry it served from, and its blocks of ``results``.
     """
-    server = ShardedServer(
-        models,
-        n_shards=config.n_shards,
-        config=config.microbatch(),
-        scrub_interval=0.25,
-    )
-    await server.start()
-    client = await PipelinedClient.connect(server.host, server.port)
-
-    async def send(index: int) -> int:
-        response = await client.request(
-            {
-                "op": "predict",
-                "tenant": tenants[schedule[index]],
-                "features": requests[index].tolist(),
-            }
+    first = next(iter(paths))
+    if config.n_shards > 1:
+        server = ShardedServer(
+            list(paths.items()),
+            n_shards=config.n_shards,
+            config=config.microbatch(),
+            scrub_interval=0.25,
         )
-        error = response.get("error")
-        if error == "overloaded":
-            raise ServiceOverloadedError(response.get("detail", "overloaded"))
-        if error is not None:
-            raise RuntimeError(f"sharded predict failed: {response}")
-        return int(response["prediction"])
+        async with server:
+            async with await PipelinedClient.connect(server.host, server.port) as client:
 
-    chaos: dict = {"performed": False}
-    on_halfway = None
-    if config.kill_shard_under_load:
-        victim = shard_for(tenants[0], config.n_shards)
+                async def send(index: int) -> int | None:
+                    response = await client.request(
+                        {
+                            "op": "predict",
+                            "tenant": tenant_of[index],
+                            "features": requests[index].tolist(),
+                        }
+                    )
+                    if response.get("error") == "overloaded":
+                        return None
+                    if "prediction" not in response:
+                        raise RuntimeError(f"sharded predict failed: {response}")
+                    return int(response["prediction"])
 
-        def kill() -> None:
-            chaos["performed"] = True
-            chaos["shard"] = victim
-            chaos["pid"] = server.kill_shard(victim)
+                async def kill() -> dict:
+                    # The acceptor must respawn the shard and replay its
+                    # in-flight requests so every scheduled request answers.
+                    victim = shard_for(first, config.n_shards)
+                    return {"shard": victim, "pid": server.kill_shard(victim)}
 
-        on_halfway = kill
+                hook = kill if config.kill_shard_under_load else None
+                passes = await _passes(send, config, seed, hook)
+                shards = (await server.health())["shards"]
+        stats = server.request_stats()
+        replicas = [
+            block["fleet"] for block in shards.values() if isinstance(block.get("fleet"), dict)
+        ]
+        return {
+            "passes": passes,
+            "stats": stats,
+            "registry": replicas[0] if replicas else {},
+            "blocks": {
+                "swap": {"performed": False},
+                "sharding": {"acceptor": stats, "chaos": _event(passes[0]), "per_shard": shards},
+            },
+        }
 
-    try:
-        blocks = await _sweep_rates(send, config, seed, on_halfway)
-        health = await server.health()
-    finally:
-        await client.close()
-        await server.stop()
-    if chaos["performed"]:
-        first = blocks[0]["_predictions"]
-        chaos["availability"] = float(np.count_nonzero(first >= 0)) / first.shape[0]
-    registry_describe = {}
-    shard_blocks = health.get("shards", {})
-    for block in shard_blocks.values():
-        if isinstance(block.get("fleet"), dict):
-            registry_describe = block["fleet"]
-            break
+    registry = ModelRegistry(cache_budget_bytes=config.cache_budget_bytes)
+    for tenant, model in models.items():
+        registry.publish(tenant, model)
+    async with InferenceService(registry=registry, config=config.microbatch()) as service:
+
+        async def send(index: int) -> int | None:
+            try:
+                return await service.predict(requests[index], tenant=tenant_of[index])
+            except ServiceOverloadedError:  # global bound or the tenant's quota
+                return None
+
+        async def swap() -> dict:
+            # Table build on a worker thread, then the atomic flip, while
+            # the traffic keeps firing.
+            before = registry.record(first).version
+            depth = service.queue_depth
+            record = await asyncio.to_thread(
+                lambda: registry.publish(first, load_classifier(paths[first]))
+            )
+            return {
+                "tenant": first,
+                "version_before": before,
+                "version_after": record.version,
+                "queue_depth_at_swap": depth,
+            }
+
+        hook = swap if config.swap_under_load else None
+        passes = await _passes(send, config, seed, hook)
+    stats = service.request_stats()
     return {
-        "blocks": blocks,
-        "acceptor": server.request_stats(),
-        "chaos": chaos,
-        "per_shard": shard_blocks,
-        "registry_describe": registry_describe,
+        "passes": passes,
+        "stats": stats,
+        "registry": registry.describe(),
+        "blocks": {
+            "swap": _event(passes[0]),
+            "batches": {
+                "count": stats["batches"],
+                "mean_size": stats["completed"] / max(stats["batches"], 1),
+                "max_size": service.max_batch_size,
+            },
+            "flush_reasons": dict(service.flush_reasons),
+        },
     }
 
 
-def _run_open_loop(workload: BenchWorkload, config: LoadgenConfig) -> dict:
-    """Open-loop twin of :func:`run_loadgen`; handles 1..N shards.
+# -- one pipeline, one payload -------------------------------------------------
 
-    The bit-identity oracle is rebuilt from the *same saved artifacts*
-    the serving side loads (persistence round-trip), so a sharded run's
-    ``checks.shard_outputs_match`` really compares against single-process
-    serving of identical published state.  The headline
-    ``throughput_rps`` / ``latency_seconds`` come from the *last* (by
-    convention highest) swept rate; every rate keeps its own block under
+_PERCENTILES = {"p50": 50.0, "p90": 90.0, "p99": 99.0, "p999": 99.9}
+
+
+def _latency(latencies: np.ndarray, percentiles: tuple) -> dict:
+    return {
+        **{key: float(np.percentile(latencies, _PERCENTILES[key])) for key in percentiles},
+        "mean": float(latencies.mean()),
+        "max": float(latencies.max()),
+    }
+
+
+def _payload(workload: BenchWorkload, config: LoadgenConfig, run: dict) -> dict:
+    """The ``BENCH_serving.json`` payload of every mode.
+
+    Every count is measured: per-tenant ``completed`` counts the answers
+    received and ``rejected`` the driver's overloaded retries, while
+    ``requests.dropped`` and ``checks.zero_dropped`` come from the
+    service's or the acceptor's own accounting.  The headline
+    ``throughput_rps`` / ``latency_seconds`` come from the last pass:
+    the closed loop's one, or the open loop's last (by convention
+    highest) swept rate, each of which keeps its own block under
     ``results.open_loop.rates``.
     """
-    tenants, classifiers, pools = _fit_fleet(workload, config.n_tenants)
-    schedule = _tenant_schedule(
-        config.n_requests, config.n_tenants, config.scenario, workload.seed
-    )
-    requests, tenant_indices = _request_pool(
-        tenants, pools, schedule, config.n_requests, workload.n_features
-    )
-
-    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
-        models = [
-            (tenant, str(save_classifier(classifiers[tenant], Path(tmp) / f"{tenant}.npz")))
-            for tenant in tenants
-        ]
-        oracle = {tenant: load_classifier(path) for tenant, path in models}
-
-        # Sequential oracle over the round-tripped artifacts — both the
-        # bit-identity reference and the speedup baseline.
-        expected = np.full(config.n_requests, -1, dtype=np.int64)
-        started = time.perf_counter()
-        for tenant, indices in tenant_indices.items():
-            clf = oracle[tenant]
-            for index in indices:
-                expected[index] = clf.predict(requests[index])
-        sequential_elapsed = time.perf_counter() - started
-
-        telemetry_registry = telemetry.MetricsRegistry(enabled=True)
-        with telemetry.activated(telemetry_registry):
-            if config.n_shards > 1:
-                outcome = asyncio.run(
-                    _sweep_sharded(
-                        models, tenants, schedule, requests, config, workload.seed
-                    )
-                )
-            else:
-                outcome = asyncio.run(
-                    _sweep_inprocess(
-                        oracle, tenants, schedule, requests, config, workload.seed
-                    )
-                )
-
-    blocks = outcome["blocks"]
-    all_match = True
-    per_tenant_match = {tenant: True for tenant in tenants}
-    rejected_total = 0
-    elapsed_total = 0.0
-    rate_blocks = []
-    for block in blocks:
-        predictions = block.pop("_predictions")
-        rejected_total += block.pop("_rejected")
-        elapsed_total += block.pop("_elapsed")
-        all_match = all_match and bool(np.array_equal(predictions, expected))
-        for tenant, indices in tenant_indices.items():
-            idx = np.asarray(indices, dtype=np.int64)
-            if not np.array_equal(predictions[idx], expected[idx]):
-                per_tenant_match[tenant] = False
-        rate_blocks.append(block)
-
-    n_rates = len(rate_blocks)
-    sent = config.n_requests * n_rates
-    headline = rate_blocks[-1]
-    sequential_rps = config.n_requests / max(sequential_elapsed, 1e-12)
-    acceptor = outcome["acceptor"]
-    chaos = outcome["chaos"]
-
-    results: dict = {
-        "throughput_rps": headline["achieved_rps"],
-        "sequential_rps": sequential_rps,
-        "speedup_vs_sequential": headline["achieved_rps"] / max(sequential_rps, 1e-12),
-        "elapsed_seconds": elapsed_total,
-        "sequential_elapsed_seconds": sequential_elapsed,
-        "latency_seconds": {
-            key: headline["latency_seconds"][key]
-            for key in ("p50", "p99", "mean", "max")
-        },
-        "open_loop": {"rates": rate_blocks},
-        "requests": {
+    passes, expected, stats = run["passes"], run["expected"], run["stats"]
+    last = passes[-1]
+    tenants = {}
+    for tenant, indices in run["tenant_indices"].items():
+        index = np.asarray(indices, dtype=np.int64)
+        sent = index.size * len(passes)
+        completed = sum(int(np.count_nonzero(p.predictions[index] >= 0)) for p in passes)
+        tenants[tenant] = {
             "sent": sent,
-            "completed": sent,
-            "rejected": rejected_total,
-            "dropped": 0,
+            "completed": completed,
+            "rejected": sum(int(p.rejected[index].sum()) for p in passes),
+            "dropped": sent - completed,
+            "match_single": all(
+                np.array_equal(p.predictions[index], expected[index]) for p in passes
+            ),
+        }
+    throughput = config.n_requests / max(last.elapsed, 1e-12)
+    sequential_rps = config.n_requests / max(run["sequential_elapsed"], 1e-12)
+    results = {
+        "throughput_rps": throughput,
+        "sequential_rps": sequential_rps,
+        "speedup_vs_sequential": throughput / max(sequential_rps, 1e-12),
+        "elapsed_seconds": sum(p.elapsed for p in passes),
+        "sequential_elapsed_seconds": run["sequential_elapsed"],
+        "latency_seconds": _latency(last.latencies, ("p50", "p99")),
+        "requests": {
+            "sent": config.n_requests * len(passes),
+            "completed": sum(block["completed"] for block in tenants.values()),
+            "rejected": sum(block["rejected"] for block in tenants.values()),
+            "dropped": stats["dropped"],
         },
+        "fleet": {"tenants": tenants, "registry": run["registry"]},
+        **run["blocks"],
     }
-    checks: dict = {
-        "predictions_match_single": all_match,
-        "zero_dropped": acceptor["dropped"] == 0 if acceptor else True,
-    }
-    if config.n_tenants > 1:
-        results["fleet"] = {
-            "tenants": {
-                tenant: {
-                    "sent": len(indices) * n_rates,
-                    "completed": len(indices) * n_rates,
-                    "rejected": 0,
-                    "dropped": 0,
-                    "match_single": per_tenant_match[tenant],
+    if config.mode == "open":
+        results["open_loop"] = {
+            "rates": [
+                {
+                    "rate": float(rate),
+                    "achieved_rps": config.n_requests / max(p.elapsed, 1e-12),
+                    "requests": config.n_requests,
+                    "max_lag_seconds": max(0.0, p.max_lag),
+                    "latency_seconds": _latency(p.latencies, tuple(_PERCENTILES)),
                 }
-                for tenant, indices in tenant_indices.items()
-            },
-            "registry": outcome["registry_describe"],
+                for rate, p in zip(config.rates, passes)
+            ]
         }
-        results["swap"] = {"performed": False}
-        checks["per_tenant_bit_identity"] = all(per_tenant_match.values())
-        checks["swap_zero_downtime"] = True
+    else:
+        results["timeline"] = throughput_timeline(last.answered, last.elapsed)
+
+    zero_dropped = stats["dropped"] == 0 and stats["failed"] == 0
+    match = all(np.array_equal(p.predictions, expected) for p in passes)
+    swap = results["swap"]
+    checks = {
+        "predictions_match_single": match,
+        "zero_dropped": zero_dropped,
+        "per_tenant_bit_identity": all(block["match_single"] for block in tenants.values()),
+        "swap_zero_downtime": not swap["performed"] or bool(
+            swap["version_after"] == swap["version_before"] + 1
+            and swap["availability"] == 1.0
+            and zero_dropped
+        ),
+    }
     if config.n_shards > 1:
-        results["sharding"] = {
-            "acceptor": acceptor,
-            "chaos": chaos,
-            "per_shard": outcome["per_shard"],
-        }
-        checks["shard_outputs_match"] = all_match
+        checks["shard_outputs_match"] = match
+        chaos = results["sharding"]["chaos"]
         if chaos["performed"]:
             checks["shard_recovery"] = bool(
-                acceptor["respawns"] >= 1
-                and acceptor["dropped"] == 0
-                and chaos.get("availability") == 1.0
+                stats["respawns"] >= 1 and zero_dropped and chaos["availability"] == 1.0
             )
 
-    payload = {
+    fleet = f"-fleet{config.n_tenants}" if config.n_tenants > 1 else ""
+    return {
         "schema_version": SERVING_SCHEMA_VERSION,
         "benchmark": "serving",
         "workload": {
-            "name": workload.name
-            + (f"-fleet{config.n_tenants}" if config.n_tenants > 1 else "")
-            + "-open",
+            "name": workload.name + fleet + ("-open" if config.mode == "open" else ""),
             "dim": workload.dim,
             "levels": workload.levels,
             "chunk_size": workload.chunk_size,
@@ -940,7 +670,7 @@ def _run_open_loop(workload: BenchWorkload, config: LoadgenConfig) -> dict:
             "concurrency": config.concurrency,
             "n_tenants": config.n_tenants,
             "scenario": config.scenario,
-            "mode": "open",
+            "mode": config.mode,
         },
         "service": {
             "max_batch": config.max_batch,
@@ -949,126 +679,74 @@ def _run_open_loop(workload: BenchWorkload, config: LoadgenConfig) -> dict:
             "tenant_quota": config.tenant_quota,
             "cache_budget_bytes": config.cache_budget_bytes,
             "n_shards": config.n_shards,
-            "fused_active": all(
-                clf.config.fused_inference and clf.fused_engine().enabled
-                for clf in oracle.values()
-            ),
+            "fused_active": run["fused_active"],
         },
         "results": results,
         "checks": checks,
         "environment": environment(),
-        "telemetry": telemetry_registry.snapshot(),
+        "telemetry": run["telemetry"],
     }
-    return validate_serving_payload(payload)
 
 
 def run_loadgen(
     workload: BenchWorkload,
     config: LoadgenConfig | None = None,
 ) -> dict:
-    """Train, measure sequential vs microbatched serving, build the payload.
+    """Fit, round-trip and serve the tenants; build the validated payload.
 
     Deterministic apart from wall-clock numbers: the workload is
-    pinned-seed synthetic and the request stream cycles its test split.
-
-    ``config.n_tenants > 1`` routes to the fleet run (registry-backed
-    service, mixed-tenant traffic, optional hot-swap under load) — same
-    payload schema, plus the fleet/swap blocks and their gates.
+    pinned-seed synthetic and each tenant's requests cycle its test
+    split.  ``config.n_tenants > 1`` mixes tenants per ``scenario``;
+    ``mode``, ``n_shards`` and the two under-load events pick the driver,
+    the target and the halfway hook, not a different pipeline.
     """
     config = config if config is not None else LoadgenConfig()
-    if config.mode == "open":
-        return _run_open_loop(workload, config)
-    if config.n_tenants > 1:
-        return _run_fleet_loadgen(workload, config)
-    data = workload.make_dataset()
-    classifier = _fit_classifier(workload, data)
-    test = np.asarray(data.test_features, dtype=np.float64)
-    requests = test[np.arange(config.n_requests) % test.shape[0]]
-    # Warm the lazy score table so both measured paths run steady-state,
-    # as a deployed model would.
-    classifier.predict(test[:1])
+    tenants, classifiers, pools = _fit_fleet(workload, config.n_tenants)
+    schedule = _tenant_schedule(
+        config.n_requests, config.n_tenants, config.scenario, workload.seed
+    )
+    requests, tenant_indices = _request_pool(
+        tenants, pools, schedule, config.n_requests, workload.n_features
+    )
+    tenant_of = [tenants[tenant_id] for tenant_id in schedule]
 
-    # Sequential per-request baseline — also the bit-identical oracle.
-    expected = np.empty(config.n_requests, dtype=np.int64)
-    started = time.perf_counter()
-    for index in range(config.n_requests):
-        expected[index] = classifier.predict(requests[index])
-    sequential_elapsed = time.perf_counter() - started
+    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
+        paths = {
+            tenant: str(save_classifier(classifiers[tenant], Path(tmp) / f"{tenant}.npz"))
+            for tenant in tenants
+        }
+        models = {tenant: load_classifier(path) for tenant, path in paths.items()}
 
-    # Microbatched closed loop, instrumented: the per-stage telemetry
-    # (queue wait, batch sizes, flush reasons, latency) is part of the
-    # artifact, and its overhead is per-batch, not per-sample.
-    registry = telemetry.MetricsRegistry(enabled=True)
-    with telemetry.activated(registry):
-        predictions, latencies, completion_offsets, elapsed, service = asyncio.run(
-            _drive(classifier, requests, config)
-        )
+        # Sequential oracle over the loaded artifacts: the bit-identity
+        # reference and the speedup baseline.  One warm-up predict per
+        # model first, so the timed loop runs on built tables, as a
+        # deployed model would.
+        for tenant in tenants:
+            models[tenant].predict(pools[tenant][:1])
+        expected = np.full(config.n_requests, -1, dtype=np.int64)
+        started = time.perf_counter()
+        for tenant, indices in tenant_indices.items():
+            for index in indices:
+                expected[index] = models[tenant].predict(requests[index])
+        sequential_elapsed = time.perf_counter() - started
 
-    stats = service.request_stats()
-    throughput = config.n_requests / max(elapsed, 1e-12)
-    sequential_rps = config.n_requests / max(sequential_elapsed, 1e-12)
-    p50, p99 = (float(v) for v in np.percentile(latencies, (50.0, 99.0)))
-    engine = classifier.fused_engine()
-    payload = {
-        "schema_version": SERVING_SCHEMA_VERSION,
-        "benchmark": "serving",
-        "workload": {
-            "name": workload.name,
-            "dim": workload.dim,
-            "levels": workload.levels,
-            "chunk_size": workload.chunk_size,
-            "n_features": workload.n_features,
-            "n_classes": workload.n_classes,
-            "seed": workload.seed,
-            "n_requests": config.n_requests,
-            "concurrency": config.concurrency,
-            "n_tenants": 1,
-            "scenario": config.scenario,
-            "mode": "closed",
-        },
-        "service": {
-            "max_batch": config.max_batch,
-            "max_wait_ms": config.max_wait_ms,
-            "max_queue_depth": config.max_queue_depth,
-            "n_shards": 1,
-            "fused_active": bool(
-                classifier.config.fused_inference and engine.enabled
-            ),
-        },
-        "results": {
-            "throughput_rps": throughput,
-            "sequential_rps": sequential_rps,
-            "speedup_vs_sequential": throughput / max(sequential_rps, 1e-12),
-            "elapsed_seconds": elapsed,
-            "sequential_elapsed_seconds": sequential_elapsed,
-            "latency_seconds": {
-                "p50": p50,
-                "p99": p99,
-                "mean": float(latencies.mean()),
-                "max": float(latencies.max()),
-            },
-            "batches": {
-                "count": stats["batches"],
-                "mean_size": stats["completed"] / max(stats["batches"], 1),
-                "max_size": service.max_batch_size,
-            },
-            "flush_reasons": dict(service.flush_reasons),
-            "timeline": throughput_timeline(completion_offsets, elapsed),
-            "requests": {
-                "sent": config.n_requests,
-                "completed": stats["completed"],
-                "rejected": stats["rejected"],
-                "dropped": stats["dropped"],
-            },
-        },
-        "checks": {
-            "predictions_match_single": bool(np.array_equal(predictions, expected)),
-            "zero_dropped": stats["dropped"] == 0 and stats["failed"] == 0,
-        },
-        "environment": environment(),
-        "telemetry": registry.snapshot(),
-    }
-    return validate_serving_payload(payload)
+        telemetry_registry = telemetry.MetricsRegistry(enabled=True)
+        with telemetry.activated(telemetry_registry):
+            run = asyncio.run(
+                _serve(config, requests, tenant_of, paths, models, workload.seed)
+            )
+
+    run.update(
+        expected=expected,
+        tenant_indices=tenant_indices,
+        sequential_elapsed=sequential_elapsed,
+        fused_active=all(
+            clf.config.fused_inference and clf.fused_engine().enabled
+            for clf in models.values()
+        ),
+        telemetry=telemetry_registry.snapshot(),
+    )
+    return validate_serving_payload(_payload(workload, config, run))
 
 
 def fleet_config(profile: str, config: LoadgenConfig | None = None) -> LoadgenConfig:
@@ -1076,8 +754,9 @@ def fleet_config(profile: str, config: LoadgenConfig | None = None) -> LoadgenCo
 
     3 tenants (the bench gate's floor) under the ``mixed`` scenario, a
     per-tenant quota at half the global bound (so quota backpressure is
-    actually exercised), and one hot-swap under load.  An explicit
-    ``config`` that already asks for tenants is passed through untouched.
+    actually exercised), and one hot-swap under load wherever the target
+    is the in-process service.  An explicit ``config`` that already asks
+    for tenants is passed through untouched.
     """
     if config is not None and config.n_tenants > 1:
         return config
@@ -1089,7 +768,7 @@ def fleet_config(profile: str, config: LoadgenConfig | None = None) -> LoadgenCo
         n_tenants=3,
         scenario="mixed",
         tenant_quota=max(1, base.max_queue_depth // 2),
-        swap_under_load=True,
+        swap_under_load=base.n_shards == 1,
     )
 
 

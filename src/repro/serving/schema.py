@@ -175,6 +175,10 @@ def _fleet_balanced(payload: dict) -> None:
         sum(stats["sent"] for stats in tenants.values()) == results["requests"]["sent"],
         "per-tenant sent counts must sum to requests.sent",
     )
+    require(
+        sum(stats["rejected"] for stats in tenants.values()) == results["requests"]["rejected"],
+        "per-tenant rejected counts must sum to requests.rejected",
+    )
     swap = results["swap"]
     if swap["performed"]:
         check(_SWAP, swap, "results.swap")

@@ -581,7 +581,9 @@ class ShardedServer:
                     ports = await self._await_ready({link.index})
                     link.port = ports[link.index]
                     await self._connect(link)
-                except WorkerError:
+                except (WorkerError, OSError):
+                    # OSError: refused connect from a shard that died after
+                    # reporting its port.
                     link.incarnation += 1  # invalidate the failed attempt
                     if link.process.is_alive():
                         link.process.kill()

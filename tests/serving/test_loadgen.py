@@ -189,6 +189,12 @@ def test_fleet_swap_performed_with_full_availability(fleet_payload):
             ),
             "all 3 tenants",
         ),
+        (
+            lambda p: p["results"]["requests"].__setitem__(
+                "rejected", p["results"]["requests"]["rejected"] + 1
+            ),
+            "rejected counts must sum",
+        ),
     ],
 )
 def test_schema_rejects_corrupted_fleet_payloads(fleet_payload, mutate, message):
@@ -375,3 +381,47 @@ def test_open_loop_config_validation():
         LoadgenConfig(mode="open", rates=(100.0,), n_shards=0)
     with pytest.raises(ValueError, match="kill_shard"):
         LoadgenConfig(mode="open", rates=(100.0,), kill_shard_under_load=True)
+    with pytest.raises(ValueError, match="swap_under_load"):
+        LoadgenConfig(mode="open", rates=(100.0,), n_shards=2, swap_under_load=True)
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_open_loop_counts_rejections_per_tenant(n_shards):
+    # One request per batch and a queue of one at 20k rps: most arrivals
+    # are bounced and retried, and every retry must show up per tenant.
+    payload = run_loadgen(
+        DEFAULT_SERVING_WORKLOADS["smoke"],
+        LoadgenConfig(
+            mode="open", rates=(20000.0,), n_tenants=3, n_shards=n_shards,
+            max_batch=1, max_queue_depth=1, n_requests=120,
+        ),
+    )
+    requests = payload["results"]["requests"]
+    tenants = payload["results"]["fleet"]["tenants"]
+    assert requests["rejected"] > 0
+    assert sum(stats["rejected"] for stats in tenants.values()) == requests["rejected"]
+    assert sum(stats["completed"] for stats in tenants.values()) == requests["sent"]
+    assert payload["checks"]["zero_dropped"] is True
+    if n_shards == 1:
+        # The in-process service's own rejection counter agrees.
+        counters = payload["telemetry"]["counters"]
+        assert requests["rejected"] == sum(
+            value for name, value in counters.items()
+            if name.startswith("serving.requests.rejected")
+        )
+
+
+def test_open_loop_swap_is_performed():
+    payload = run_loadgen(
+        DEFAULT_SERVING_WORKLOADS["smoke"],
+        LoadgenConfig(
+            mode="open", rates=(400.0,), n_tenants=3, swap_under_load=True,
+            n_requests=120,
+        ),
+    )
+    swap = payload["results"]["swap"]
+    assert swap["performed"] is True
+    assert swap["availability"] == 1.0
+    assert swap["version_after"] == swap["version_before"] + 1
+    assert payload["checks"]["swap_zero_downtime"] is True
+    assert payload["checks"]["per_tenant_bit_identity"] is True

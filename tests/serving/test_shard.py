@@ -257,6 +257,56 @@ class TestShardedServer:
         np.testing.assert_array_equal(got, expected)
         assert stats["dropped"] == 0 and stats["pending"] == 0
 
+    def test_refused_connect_during_respawn_retries(
+        self, tenant_artifacts, queries
+    ):
+        # A respawned shard that refuses the acceptor's connect (it died
+        # after reporting its port) must cost one more respawn, not strand
+        # the requests waiting for that shard.
+        alpha_clf, _ = tenant_artifacts["alpha"]
+        victim = shard_for("alpha", 2)
+        expected = alpha_clf.predict(queries)
+
+        async def drive():
+            async with ShardedServer(
+                _models(tenant_artifacts),
+                n_shards=2,
+                config=MicrobatchConfig(max_batch=8, max_wait_ms=2.0),
+            ) as server:
+                connect = server._connect
+                refused = []
+
+                async def refuse_once(link):
+                    if not refused:
+                        refused.append(link.index)
+                        raise ConnectionRefusedError("shard gone after reporting")
+                    await connect(link)
+
+                server._connect = refuse_once
+                async with await PipelinedClient.connect(
+                    server.host, server.port
+                ) as client:
+                    server.kill_shard(victim)
+                    responses = await asyncio.wait_for(
+                        asyncio.gather(*[
+                            client.request(
+                                {"op": "predict", "tenant": "alpha",
+                                 "x": row.tolist()}
+                            )
+                            for row in queries
+                        ]),
+                        60,
+                    )
+                stats = server.request_stats()
+            return responses, refused, stats
+
+        responses, refused, stats = asyncio.run(drive())
+        got = np.asarray([r["prediction"] for r in responses])
+        np.testing.assert_array_equal(got, expected)
+        assert refused == [victim]
+        assert stats["respawns"] == 2
+        assert stats["dropped"] == 0 and stats["failed"] == 0
+
     def test_constructor_validation(self, tenant_artifacts):
         with pytest.raises(ValueError, match="n_shards"):
             ShardedServer(_models(tenant_artifacts), n_shards=0)

@@ -45,10 +45,14 @@ import numpy as np
 
 from repro import telemetry
 from repro.bench.schema import SCHEMA_VERSION, validate_bench_payload
-from repro.bench.workloads import BenchWorkload, is_scaling_profile, profile_workloads
+from repro.bench.workloads import (
+    BenchWorkload,
+    fit_classifier,
+    is_scaling_profile,
+    profile_workloads,
+)
 from repro.hdc.model import ClassModel
 from repro.hdc.ops import ACCUM_DTYPE
-from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
 from repro.lookhd.trainer import LookHDTrainer
 from repro.parallel.executor import ProcessExecutor, resolve_n_workers
 from repro.parallel.trainer import ParallelTrainer
@@ -92,20 +96,6 @@ def _sha256(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array, dtype=np.int64).tobytes()).hexdigest()
 
 
-def _fit_classifier(workload: BenchWorkload, data) -> LookHDClassifier:
-    config = LookHDConfig(
-        dim=workload.dim,
-        levels=workload.levels,
-        chunk_size=workload.chunk_size,
-        group_size=workload.group_size,
-        decorrelate=workload.decorrelate,
-        seed=workload.seed,
-    )
-    clf = LookHDClassifier(config)
-    clf.fit(data.train_features, data.train_labels)
-    return clf
-
-
 def _encode_reference_batched(encoder, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
     """Reference kernel applied batch-wise (whole-set (N, m, D) won't fit)."""
     encoded = np.empty((features.shape[0], encoder.dim), dtype=ACCUM_DTYPE)
@@ -126,7 +116,7 @@ def _inference_workload_entry(task: tuple[BenchWorkload, int]) -> tuple[dict, di
     workload, repeats = task
     registry = telemetry.MetricsRegistry(enabled=True)
     data = workload.make_dataset()
-    clf = _fit_classifier(workload, data)
+    clf = fit_classifier(workload, data)
     test = data.test_features
     timings = {
         "encode_reference": _time_stage(
@@ -175,7 +165,7 @@ def _training_workload_entry(task: tuple[BenchWorkload, int]) -> tuple[dict, dic
     registry = telemetry.MetricsRegistry(enabled=True)
     data = workload.make_dataset()
     # Fit once to obtain a fitted encoder shared by both training paths.
-    clf = _fit_classifier(workload, data)
+    clf = fit_classifier(workload, data)
     encoder = clf.encoder
     train_x = data.train_features
     train_y = data.train_labels
@@ -309,7 +299,7 @@ def run_training_scaling_bench(
     entries = []
     for workload in workloads:
         data = workload.make_dataset()
-        clf = _fit_classifier(workload, data)
+        clf = fit_classifier(workload, data)
         encoder = clf.encoder
         train_x = data.train_features
         train_y = data.train_labels

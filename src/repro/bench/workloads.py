@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass
 
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import SyntheticSpec, make_synthetic_classification
+from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,23 @@ class BenchWorkload:
 
     def config_dict(self) -> dict:
         return asdict(self)
+
+
+def fit_classifier(workload: BenchWorkload, data: Dataset) -> LookHDClassifier:
+    """A :class:`LookHDClassifier` with the workload's geometry and seed,
+    fitted on ``data``'s training split."""
+    clf = LookHDClassifier(
+        LookHDConfig(
+            dim=workload.dim,
+            levels=workload.levels,
+            chunk_size=workload.chunk_size,
+            group_size=workload.group_size,
+            decorrelate=workload.decorrelate,
+            seed=workload.seed,
+        )
+    )
+    clf.fit(data.train_features, data.train_labels)
+    return clf
 
 
 #: The acceptance-gate workload: the paper's efficiency configuration

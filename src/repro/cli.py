@@ -270,7 +270,6 @@ def _cmd_stats(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
-    import signal
 
     from repro.serving import (
         InferenceService,
@@ -278,6 +277,7 @@ def _cmd_serve(args) -> int:
         ModelRegistry,
         ServingServer,
     )
+    from repro.serving.server import wait_for_shutdown_signal
 
     # Config validation runs before any model is loaded or trained, so a
     # bad knob combination fails in milliseconds, not after a fit.
@@ -362,17 +362,9 @@ def _cmd_serve(args) -> int:
         )
         # Graceful shutdown: SIGTERM/SIGINT stop *accepting* and then drain
         # every admitted request before exit, so a supervisor's restart never
-        # strands in-flight work.  Falls back to KeyboardInterrupt where the
-        # loop has no signal-handler support.
-        shutdown = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, shutdown.set)
-            except (NotImplementedError, RuntimeError):
-                pass
+        # strands in-flight work.
         try:
-            await shutdown.wait()
+            await wait_for_shutdown_signal()
             print("shutdown signal received; draining...", flush=True)
         finally:
             await server.stop()
@@ -393,9 +385,9 @@ def _cmd_serve(args) -> int:
 def _serve_sharded(args, config) -> int:
     """``repro serve --shards N``: acceptor + N supervised shard processes."""
     import asyncio
-    import signal
 
     from repro.serving import InferenceService, ShardedServer
+    from repro.serving.server import wait_for_shutdown_signal
 
     models = list(args.models or [])
     if args.model:
@@ -418,15 +410,8 @@ def _serve_sharded(args, config) -> int:
             "Ctrl-C or SIGTERM to drain and stop)",
             flush=True,
         )
-        shutdown = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, shutdown.set)
-            except (NotImplementedError, RuntimeError):
-                pass
         try:
-            await shutdown.wait()
+            await wait_for_shutdown_signal()
             print("shutdown signal received; draining...", flush=True)
         finally:
             await server.stop()

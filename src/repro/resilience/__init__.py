@@ -3,9 +3,9 @@
 The fault harness (:mod:`repro.faults`) measures what bit errors cost;
 this package makes the runtime *tolerate* them:
 
-- :mod:`repro.resilience.retry` — monotonic deadlines
-  (:class:`Deadline`/:class:`DeadlineExceededError`) and bounded retry
-  with exponential backoff + deterministic jitter (:func:`retry_call`).
+- :mod:`repro.resilience.retry` — :class:`DeadlineExceededError`, the
+  typed ``TimeoutError`` the serving layer raises for a request that
+  outlived its deadline and maps to the ``deadline`` wire error.
 - :mod:`repro.resilience.integrity` — SHA-256 shadow digests over
   authoritative model state, canary known-answer checks over derived
   caches, and a budgeted :class:`Scrubber` that detects and auto-repairs
@@ -29,13 +29,7 @@ from repro.resilience.integrity import (
     RepairReport,
     Scrubber,
 )
-from repro.resilience.retry import (
-    Deadline,
-    DeadlineExceededError,
-    RetryBudgetExceededError,
-    backoff_delays,
-    retry_call,
-)
+from repro.resilience.retry import DeadlineExceededError
 from repro.resilience.schema import (
     RESILIENCE_SCHEMA_VERSION,
     validate_resilience_payload,
@@ -43,7 +37,6 @@ from repro.resilience.schema import (
 
 __all__ = [
     "ChaosConfig",
-    "Deadline",
     "DeadlineExceededError",
     "FleetScrubber",
     "IntegrityError",
@@ -51,11 +44,8 @@ __all__ = [
     "OVERHEAD_BUDGET",
     "RESILIENCE_SCHEMA_VERSION",
     "RepairReport",
-    "RetryBudgetExceededError",
     "Scrubber",
-    "backoff_delays",
     "chaos_config",
-    "retry_call",
     "run_chaos",
     "validate_resilience_payload",
     "write_resilience_file",

@@ -1,40 +1,15 @@
-"""Deadlines and bounded retry with exponential backoff — the small, typed
-primitives the rest of the resilience layer is built from.
+"""The typed deadline error the serving layer routes without string matching.
 
-Two failure disciplines:
-
-* **Deadlines** bound how long anyone waits for an answer.
-  :class:`Deadline` is a monotonic-clock budget; expiry is reported as a
-  typed :class:`DeadlineExceededError` (a ``TimeoutError`` subclass, so
-  generic timeout handling still works) that callers — the serving layer
-  above all — can route without string matching.
-* **Bounded retry** absorbs *transient* failures without masking real
-  ones.  :func:`retry_call` re-invokes a callable on a whitelisted set of
-  exception types with exponential backoff and deterministic jitter,
-  gives up after a fixed budget, and re-raises the last error — it never
-  converts an exception type, so typed handling downstream keeps working.
-
-Jitter is seeded, not wall-clock random: given the same seed the retry
-schedule is reproducible, which keeps chaos-bench timings and tests
-deterministic while still decorrelating concurrent retriers in
-production (each caller derives its own seed).
+:class:`DeadlineExceededError` is a ``TimeoutError`` subclass, so generic
+timeout handling still works, and it carries the budget and the actual
+wait: the microbatched service raises it for a request that outlived its
+``deadline_ms`` before the model ran, and the TCP front end maps it to the
+``deadline`` wire error.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Iterator
-
-from repro import telemetry
-from repro.utils.rng import ensure_rng
-
-__all__ = [
-    "Deadline",
-    "DeadlineExceededError",
-    "RetryBudgetExceededError",
-    "backoff_delays",
-    "retry_call",
-]
+__all__ = ["DeadlineExceededError"]
 
 
 class DeadlineExceededError(TimeoutError):
@@ -52,141 +27,3 @@ class DeadlineExceededError(TimeoutError):
             f"(waited {waited_seconds * 1000:.1f} ms); the caller should treat "
             "the work as abandoned"
         )
-
-
-class RetryBudgetExceededError(RuntimeError):
-    """:func:`retry_call` exhausted its attempts; ``__cause__`` is the last error."""
-
-    def __init__(self, attempts: int, last_error: BaseException):
-        self.attempts = attempts
-        self.last_error = last_error
-        super().__init__(
-            f"operation failed after {attempts} attempts; last error: "
-            f"{type(last_error).__name__}: {last_error}"
-        )
-
-
-class Deadline:
-    """A monotonic-clock time budget.
-
-    >>> deadline = Deadline(0.5)
-    >>> deadline.remaining()  # seconds left, never negative
-    >>> deadline.check("scrub tick")  # raises DeadlineExceededError when spent
-    """
-
-    __slots__ = ("budget_seconds", "started_at")
-
-    def __init__(self, budget_seconds: float, clock: Callable[[], float] = time.perf_counter):
-        if not budget_seconds > 0:
-            raise ValueError(f"budget_seconds must be positive, got {budget_seconds}")
-        self.budget_seconds = float(budget_seconds)
-        self.started_at = clock()
-
-    def elapsed(self, now: float | None = None) -> float:
-        return (time.perf_counter() if now is None else now) - self.started_at
-
-    def remaining(self, now: float | None = None) -> float:
-        return max(0.0, self.budget_seconds - self.elapsed(now))
-
-    def expired(self, now: float | None = None) -> bool:
-        return self.elapsed(now) > self.budget_seconds
-
-    def check(self, what: str = "operation", now: float | None = None) -> None:
-        elapsed = self.elapsed(now)
-        if elapsed > self.budget_seconds:
-            raise DeadlineExceededError(elapsed, self.budget_seconds, what=what)
-
-
-def backoff_delays(
-    retries: int,
-    base_delay: float = 0.05,
-    max_delay: float = 2.0,
-    multiplier: float = 2.0,
-    jitter: float = 0.5,
-    rng=None,
-) -> Iterator[float]:
-    """Yield ``retries`` exponential backoff delays with proportional jitter.
-
-    Delay ``i`` is ``min(max_delay, base_delay * multiplier**i)`` scaled by
-    a uniform factor in ``[1 - jitter, 1 + jitter]``.  Jitter comes from
-    ``rng`` (any :func:`repro.utils.rng.ensure_rng` input), so a seeded
-    caller gets a reproducible schedule.
-    """
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative, got {retries}")
-    if base_delay < 0 or max_delay < base_delay:
-        raise ValueError(
-            f"need 0 <= base_delay <= max_delay, got {base_delay}, {max_delay}"
-        )
-    if not 0.0 <= jitter <= 1.0:
-        raise ValueError(f"jitter must be in [0, 1], got {jitter}")
-    generator = ensure_rng(rng)
-    for attempt in range(retries):
-        delay = min(max_delay, base_delay * multiplier**attempt)
-        if jitter:
-            delay *= 1.0 + jitter * (2.0 * generator.random() - 1.0)
-        yield max(0.0, delay)
-
-
-def retry_call(
-    fn: Callable,
-    *args,
-    retries: int = 3,
-    retry_on: tuple[type[BaseException], ...] = (OSError, ConnectionError, TimeoutError),
-    base_delay: float = 0.05,
-    max_delay: float = 2.0,
-    jitter: float = 0.5,
-    rng=None,
-    deadline: Deadline | None = None,
-    on_retry: Callable[[int, BaseException, float], None] | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-    **kwargs,
-):
-    """Call ``fn(*args, **kwargs)``, retrying transient failures.
-
-    Parameters
-    ----------
-    retries:
-        Extra attempts after the first (``retries=3`` → up to 4 calls).
-    retry_on:
-        Exception types considered transient.  Anything else propagates
-        immediately — a ``ValueError`` is a bug, not weather.
-    base_delay, max_delay, jitter, rng:
-        Backoff schedule; see :func:`backoff_delays`.
-    deadline:
-        Optional overall :class:`Deadline`; checked before every sleep so a
-        retry loop can never outlive its caller's budget (the deadline's
-        own :class:`DeadlineExceededError` propagates).
-    on_retry:
-        Observer called as ``on_retry(attempt, error, delay)`` before each
-        backoff sleep (for logs/telemetry at the call site).
-    sleep:
-        Injection seam for tests (and async shims) — defaults to
-        ``time.sleep``.
-
-    Raises
-    ------
-    RetryBudgetExceededError
-        When every attempt failed with a transient error; ``__cause__``
-        and ``.last_error`` carry the final failure.
-    """
-    delays = backoff_delays(
-        retries, base_delay=base_delay, max_delay=max_delay, jitter=jitter, rng=rng
-    )
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return fn(*args, **kwargs)
-        except retry_on as error:
-            telemetry.count("resilience.retry.attempts", outcome="failed")
-            try:
-                delay = next(delays)
-            except StopIteration:
-                raise RetryBudgetExceededError(attempt, error) from error
-            if deadline is not None:
-                deadline.check("retry loop")
-            if on_retry is not None:
-                on_retry(attempt, error, delay)
-            telemetry.count("resilience.retry.backoffs")
-            sleep(delay)

@@ -23,10 +23,12 @@ overhead dominates any single-sample path.  This package closes that gap:
   ``pipelined=True`` allows any number of in-flight requests per
   connection with responses matched by ``id``.
 * :class:`~repro.serving.shard.ShardedServer` — horizontal scale-out
-  (``repro serve --shards N``): one acceptor fanning the same protocol
-  across N shard processes with CRC32 tenant affinity, broadcast
-  publish/evict, per-shard scrubbing, and supervised respawn + in-flight
-  replay on shard death.
+  (``repro serve --shards N``): one acceptor routing the same protocol
+  across N shard processes by CRC32 tenant affinity.  Each tenant lives
+  on its owner shard alone, which loads, scrubs and serves it;
+  ``publish``/``evict`` go to that owner, ``list`` merges the shards'
+  registries, and shard death is answered by supervised respawn +
+  in-flight replay.
 * :mod:`~repro.serving.loadgen` — one load-generation pipeline
   (``repro loadgen [--open-loop]``): fit, save and reload the tenants,
   time the sequential oracle, then drive one ``send(index)`` coroutine

@@ -62,8 +62,8 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
-from repro.bench.workloads import BenchWorkload
-from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
+from repro.bench.workloads import BenchWorkload, fit_classifier
+from repro.lookhd.classifier import LookHDClassifier
 from repro.lookhd.persistence import load_classifier, save_classifier
 from repro.serving.registry import ModelRegistry
 from repro.serving.schema import MODES, SERVING_SCHEMA_VERSION, validate_serving_payload
@@ -256,21 +256,6 @@ def throughput_timeline(
 # -- tenants and requests ------------------------------------------------------
 
 
-def _fit_classifier(workload: BenchWorkload, data) -> LookHDClassifier:
-    clf = LookHDClassifier(
-        LookHDConfig(
-            dim=workload.dim,
-            levels=workload.levels,
-            chunk_size=workload.chunk_size,
-            group_size=workload.group_size,
-            decorrelate=workload.decorrelate,
-            seed=workload.seed,
-        )
-    )
-    clf.fit(data.train_features, data.train_labels)
-    return clf
-
-
 def _tenant_schedule(
     n_requests: int, n_tenants: int, scenario: str, seed
 ) -> np.ndarray:
@@ -330,7 +315,7 @@ def _fit_fleet(
             workload, name=f"{workload.name}-{tenant}", seed=workload.seed + index
         )
         data = tenant_workload.make_dataset()
-        classifiers[tenant] = _fit_classifier(tenant_workload, data)
+        classifiers[tenant] = fit_classifier(tenant_workload, data)
         pools[tenant] = np.asarray(data.test_features, dtype=np.float64)
     return tenants, classifiers, pools
 
@@ -498,18 +483,19 @@ async def _serve(config: LoadgenConfig, requests, tenant_of, paths, models, seed
 
                 hook = kill if config.kill_shard_under_load else None
                 passes = await _passes(send, config, seed, hook)
-                shards = (await server.health())["shards"]
+                health = await server.health()
         stats = server.request_stats()
-        replicas = [
-            block["fleet"] for block in shards.values() if isinstance(block.get("fleet"), dict)
-        ]
         return {
             "passes": passes,
             "stats": stats,
-            "registry": replicas[0] if replicas else {},
+            "registry": health["fleet"],
             "blocks": {
                 "swap": {"performed": False},
-                "sharding": {"acceptor": stats, "chaos": _event(passes[0]), "per_shard": shards},
+                "sharding": {
+                    "acceptor": stats,
+                    "chaos": _event(passes[0]),
+                    "per_shard": health["shards"],
+                },
             },
         }
 

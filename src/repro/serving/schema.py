@@ -63,6 +63,7 @@ _OPEN_LOOP = {
 _SHARDING = {
     "acceptor": {**dict.fromkeys(_ACCEPTOR, COUNT), "dropped": 0},
     "chaos": {"performed": bool},
+    "per_shard": MapOf({"fleet": {"tenants": MapOf({}, empty=True)}}),
 }
 _FLEET = {
     "fleet": {
@@ -131,14 +132,24 @@ def _requests_conserved(payload: dict) -> None:
 
 
 def _sharded_run_recovered(payload: dict) -> None:
-    """Acceptor accounting balances, bit-identity holds, and a chaos kill
-    (when performed) recovered with availability 1.0."""
+    """Acceptor accounting balances, bit-identity holds, every tenant is
+    registered on exactly one shard, and a chaos kill (when performed)
+    recovered with availability 1.0."""
     n_shards = payload["service"]["n_shards"]
     if n_shards == 1:
         return
-    check(_SHARDING, payload["results"].get("sharding"), "results.sharding")
+    results = payload["results"]
+    check(_SHARDING, results.get("sharding"), "results.sharding")
+    check({"fleet": {"tenants": MapOf({})}}, results, "results")
     check({"shard_outputs_match": True}, payload["checks"], "checks")
-    sharding = payload["results"]["sharding"]
+    sharding = results["sharding"]
+    registered = [set(block["fleet"]["tenants"]) for block in sharding["per_shard"].values()]
+    for tenant in sorted(set(results["fleet"]["tenants"]).union(*registered)):
+        holders = sum(tenant in names for names in registered)
+        require(
+            holders == 1,
+            f"tenant {tenant!r} must be registered on exactly one shard, found on {holders}",
+        )
     chaos = sharding["chaos"]
     if chaos["performed"]:
         check({"shard": COUNT, "availability": 1.0}, chaos, "results.sharding.chaos")

@@ -73,6 +73,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
+from collections.abc import Awaitable, Callable
 
 from repro import telemetry
 from repro.lookhd.persistence import ArtifactError, load_classifier
@@ -84,6 +86,82 @@ from repro.serving.service import (
     ServiceOverloadedError,
     UpdateNotSupportedError,
 )
+
+
+async def wait_for_shutdown_signal() -> None:
+    """Return once SIGINT or SIGTERM arrives.
+
+    Where the loop has no signal-handler support, Ctrl-C surfaces as
+    ``KeyboardInterrupt`` from ``asyncio.run`` instead.
+    """
+    shutdown = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, shutdown.set)
+        except (NotImplementedError, RuntimeError):
+            pass
+    await shutdown.wait()
+
+
+async def serve_pipelined(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    answer: Callable[[bytes], Awaitable[dict]],
+    orphaned: Callable[[], None],
+) -> None:
+    """One pipelined connection: a task per line, answers out of order.
+
+    Each line becomes a task the moment it is read; ``answer(line)``
+    builds its response, which is written as soon as it completes,
+    matched to its request by the ``id`` field.  One lock serialises the
+    write+drain pairs so responses never interleave mid-line.  An answer
+    whose client is gone by write time is counted through ``orphaned()``.
+    At EOF every in-flight answer is drained before returning: a
+    half-closed peer (EOF seen, connection writable) still gets every
+    response for the lines it managed to send.
+    """
+    lock = asyncio.Lock()
+    tasks: set[asyncio.Task] = set()
+    loop = asyncio.get_running_loop()
+
+    async def respond(line: bytes) -> None:
+        response = await answer(line)
+        async with lock:
+            if writer.is_closing():
+                orphaned()
+                return
+            try:
+                writer.write((json.dumps(response) + "\n").encode())
+                await writer.drain()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                orphaned()
+
+    try:
+        while True:
+            line = await reader.readline()
+            if not line:
+                break
+            task = loop.create_task(respond(line))
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
+    finally:
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+
+
+async def close_quietly(writer: asyncio.StreamWriter) -> None:
+    """Close a connection, ignoring a peer that is already gone.
+
+    A ``CancelledError`` from loop teardown mid-close is swallowed too:
+    finishing (rather than re-raising) keeps asyncio's stream callback
+    from logging a spurious traceback for a routine shutdown.
+    """
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
+        pass
 
 
 class ServingServer:
@@ -236,59 +314,13 @@ class ServingServer:
         self.cancelled += 1
         telemetry.count("serving.requests.cancelled", reason="disconnect")
 
-    async def _write_answer(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
-        """Pipelined mode: answer one line and write it under the lock.
-
-        Several of these tasks run concurrently per connection; the lock
-        serialises the write+drain pair so responses never interleave
-        mid-line.  A client gone by write time is accounted exactly like
-        the sequential path's orphaned answer.
-        """
-        response = await self._answer(line)
-        async with lock:
-            if writer.is_closing():
-                self._account_cancelled()
-                return
-            try:
-                writer.write((json.dumps(response) + "\n").encode())
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                self._account_cancelled()
-
-    async def _handle_pipelined(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Shard-link mode: task per line, out-of-order responses by id."""
-        lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                task = loop.create_task(self._write_answer(line, writer, lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        finally:
-            # Drain in-flight answers before closing: a half-closed peer
-            # (EOF seen, connection writable) still gets every response
-            # for the lines it managed to send.
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         telemetry.count("serving.connections.opened")
         try:
             if self.pipelined:
-                await self._handle_pipelined(reader, writer)
+                await serve_pipelined(reader, writer, self._answer, self._account_cancelled)
                 return
             while True:
                 line = await reader.readline()
@@ -320,16 +352,7 @@ class ServingServer:
             pass
         finally:
             telemetry.count("serving.connections.closed")
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-            except asyncio.CancelledError:
-                # Loop teardown cancelled the handler mid-close.  Finishing
-                # (rather than re-raising) keeps asyncio's stream callback
-                # from logging a spurious traceback for a routine shutdown.
-                pass
+            await close_quietly(writer)
 
     # -- fleet admin ops -------------------------------------------------------
 

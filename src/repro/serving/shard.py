@@ -7,7 +7,8 @@ module scales that loop *out*: a front-end TCP acceptor
 (:class:`ShardedServer`) fans requests across ``n_shards`` worker
 processes, each running its own event loop, its own
 :class:`~repro.serving.service.InferenceService`, and its own
-:class:`~repro.serving.registry.ModelRegistry` replica.
+:class:`~repro.serving.registry.ModelRegistry` holding only the tenants
+routed to it.
 
 Design points, in the order they matter:
 
@@ -21,14 +22,17 @@ Design points, in the order they matter:
   are **bit-identical** to single-process serving (the
   ``checks.shard_outputs_match`` gate in ``BENCH_serving.json``).
 
-* **Registry replicas, broadcast control plane.**  Every shard loads the
-  same published artifacts into its own registry.  ``publish`` / ``evict``
-  admin ops are broadcast to *all* shards (serialized by an admin lock,
-  fanned out concurrently), so replicas stay in step and the per-shard
+* **One owner per tenant.**  The affinity shard is the only shard that
+  ever holds a tenant: it loads, warms and scrubs that tenant's model,
+  and nobody else does.  ``publish`` and ``evict`` go to the owner
+  alone, so there are no replicas to keep in step and the owner's
   hot-swap keeps its atomic versioned semantics — a batch in flight on
   the old version finishes on it, the next batch binds the new one.  The
-  acceptor records the latest artifact path per tenant; that record is
-  the recovery script.
+  acceptor records the latest artifact path per tenant (publish holds an
+  admin lock, so the record and the owner's version move together); that
+  record is the boot and recovery script, and the acceptor answers
+  ``unknown_tenant`` itself for any tenant it has no record of.  ``list``
+  merges the shards' own registry snapshots into one fleet view.
 
 * **Supervision, reused from the training pool.**  Shard processes are
   watched with the same machinery as
@@ -42,7 +46,7 @@ Design points, in the order they matter:
   the fresh incarnation — predictions are idempotent, so a mid-run
   shard kill costs latency, never answers (the bench's
   availability/zero-dropped recovery gates).  A respawned shard's
-  registry restarts at version 1 per tenant (it is a fresh process
+  registry restarts at version 1 per owned tenant (it is a fresh process
   rebuilt from artifacts); live ``partial_fit`` updates applied since the
   last publish do not survive a shard death — shards are stateless
   caches of published state.
@@ -56,15 +60,14 @@ Design points, in the order they matter:
   :class:`PipelinedClient` is the matching client, used by the open-loop
   load generator and the tests.  Parent-level failures answer with the
   ``unavailable`` error code; everything a shard answers (``overloaded``,
-  ``unknown_tenant``, ``deadline``, …) is forwarded verbatim.
+  ``deadline``, …) is forwarded verbatim.
 
 * **Per-shard scrubbing.**  Each shard co-hosts its own
-  :class:`~repro.resilience.integrity.FleetScrubber` over its registry
-  replica (idle-time ticks, exactly as the single-process server does),
-  so integrity coverage scales with the fleet instead of leaving N-1
-  processes unscrubbed.  The extended ``health`` op reports per-shard
-  blocks: incarnation, port, queue depth, request accounting, scrub
-  status.
+  :class:`~repro.resilience.integrity.FleetScrubber` over the tenants it
+  owns (idle-time ticks, exactly as the single-process server does), so
+  every tenant is scrubbed once, by the process that serves it.  The
+  extended ``health`` op reports per-shard blocks: incarnation, port,
+  queue depth, request accounting, scrub status, fleet.
 """
 
 from __future__ import annotations
@@ -73,18 +76,25 @@ import asyncio
 import json
 import multiprocessing
 import multiprocessing.connection
-import signal
 import time
 import zlib
 from collections import OrderedDict
 
 from repro import telemetry
+from repro.lookhd.persistence import load_classifier
 from repro.parallel.executor import (
     DEFAULT_MAX_RESPAWNS,
     WorkerError,
     default_start_method,
     reap_processes,
     watch_process,
+)
+from repro.serving.registry import ModelRegistry, UnknownTenantError
+from repro.serving.server import (
+    ServingServer,
+    close_quietly,
+    serve_pipelined,
+    wait_for_shutdown_signal,
 )
 from repro.serving.service import (
     InferenceService,
@@ -102,6 +112,10 @@ DEFAULT_READY_TIMEOUT = 30.0
 DEFAULT_DRAIN_TIMEOUT = 10.0
 
 
+#: Registry snapshot fields that add up across shards.
+_FLEET_TOTALS = ("bound_bytes", "publishes", "evictions", "lazy_rebuilds")
+
+
 def shard_for(tenant: str, n_shards: int) -> int:
     """Deterministic shard affinity for a tenant name.
 
@@ -111,6 +125,22 @@ def shard_for(tenant: str, n_shards: int) -> int:
     """
     check_positive_int(n_shards, "n_shards")
     return zlib.crc32(tenant.encode("utf-8")) % n_shards
+
+
+def _merge_fleets(fleets) -> dict:
+    """One registry snapshot from the shards' own.
+
+    Each tenant is held by exactly one shard, so the tenant maps unite
+    and the byte and event counts add up.
+    """
+    merged = {"tenants": {}, "cache_budget_bytes": None, **dict.fromkeys(_FLEET_TOTALS, 0)}
+    for fleet in fleets:
+        merged["tenants"].update(fleet["tenants"])
+        merged["cache_budget_bytes"] = fleet["cache_budget_bytes"]
+        for key in _FLEET_TOTALS:
+            merged[key] += fleet[key]
+    merged["tenants"] = dict(sorted(merged["tenants"].items()))
+    return merged
 
 
 # -- shard worker process ------------------------------------------------------
@@ -126,20 +156,15 @@ def _shard_main(
 ) -> None:
     """Entry point of one shard process (module-level for ``spawn``).
 
-    Builds the registry replica from the published artifacts, serves a
-    pipelined :class:`~repro.serving.server.ServingServer` on an
-    ephemeral port, sends that port down its own ``ready`` pipe, and
-    drains gracefully on SIGTERM/SIGINT — the same shutdown discipline as
-    ``repro serve``.  The pipe belongs to this incarnation alone and is
-    written from this thread: a shard killed at any point cannot leave a
-    lock held that its replacement would need.
+    Builds a registry of the tenants this shard owns (``models``) from
+    their published artifacts, serves a pipelined
+    :class:`~repro.serving.server.ServingServer` on an ephemeral port,
+    sends that port down its own ``ready`` pipe, and drains gracefully on
+    SIGTERM/SIGINT — the same shutdown discipline as ``repro serve``.
+    The pipe belongs to this incarnation alone and is written from this
+    thread: a shard killed at any point cannot leave a lock held that its
+    replacement would need.
     """
-    # Imports kept local so a spawn-start child pays them here, not at
-    # module import in the parent's hot path.
-    from repro.lookhd.persistence import load_classifier
-    from repro.serving.registry import ModelRegistry
-    from repro.serving.server import ServingServer
-
     registry = ModelRegistry()
     for tenant, path in models:
         registry.publish(tenant, load_classifier(path))
@@ -163,14 +188,7 @@ def _shard_main(
         await server.start()
         ready.send(server.port)
         ready.close()
-        shutdown = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, shutdown.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await shutdown.wait()
+        await wait_for_shutdown_signal()
         await server.stop()
 
     try:
@@ -240,9 +258,10 @@ class ShardedServer:
     Parameters
     ----------
     models:
-        Ordered ``(tenant, path)`` pairs of saved artifacts to publish
-        into every shard at boot (the ``repro serve --models`` form).
-        May be empty; tenants can be published over the wire later.
+        Ordered ``(tenant, path)`` pairs of saved artifacts; each is
+        published at boot into its owning shard (:func:`shard_for`) only
+        (the ``repro serve --models`` form).  May be empty; tenants can
+        be published over the wire later.
     n_shards:
         Serving processes behind the acceptor.  ``1`` is a degenerate
         but valid pool (useful for apples-to-apples overhead runs).
@@ -292,7 +311,8 @@ class ShardedServer:
         self.ready_timeout = float(ready_timeout)
         self.drain_timeout = float(drain_timeout)
         #: Latest published artifact path per tenant, in first-publish
-        #: order — the replay script for boot and respawn.
+        #: order — the replay script for boot and respawn, and the set of
+        #: tenants the acceptor routes.
         self._published: OrderedDict[str, str] = OrderedDict()
         for tenant, path in models:
             if not isinstance(tenant, str) or not tenant:
@@ -427,13 +447,19 @@ class ShardedServer:
     # -- shard pool supervision ------------------------------------------------
 
     def _spawn_shard(self, link: _ShardLink) -> None:
-        """Start one shard process plus its death watcher (incarnation-tagged)."""
+        """Start one shard process, holding the recorded tenants it owns,
+        plus its death watcher (incarnation-tagged)."""
+        owned = [
+            (tenant, path)
+            for tenant, path in self._published.items()
+            if shard_for(tenant, self.n_shards) == link.index
+        ]
         ready_pipe, ready_end = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_shard_main,
             args=(
                 self.host,
-                list(self._published.items()),
+                owned,
                 self.config,
                 ready_end,
                 self.allow_partial_fit,
@@ -598,8 +624,8 @@ class ShardedServer:
                 # Replay every request the dead incarnation left
                 # unanswered (or that queued up while it was down), in
                 # admission order.  Predictions are idempotent; the fresh
-                # shard was republished from the recorded artifacts, so
-                # replayed answers stay bit-identical.
+                # shard republished its tenants from the recorded
+                # artifacts, so replayed answers stay bit-identical.
                 for sid in sorted(link.pending):
                     entry = link.pending[sid]
                     entry.sent = True
@@ -614,11 +640,16 @@ class ShardedServer:
 
     # -- request routing -------------------------------------------------------
 
-    def _route(self, tenant) -> int:
-        if tenant is None:
-            tenant = InferenceService.DEFAULT_TENANT
+    def _owner(self, tenant) -> int:
+        """The one shard holding ``tenant``.
+
+        A tenant the acceptor has no record of is answered here with
+        ``unknown_tenant`` (naming every recorded tenant), never forwarded.
+        """
         if not isinstance(tenant, str) or not tenant:
             raise ValueError("'tenant' must be a non-empty string")
+        if tenant not in self._published:
+            raise UnknownTenantError(tenant, self._published)
         return shard_for(tenant, self.n_shards)
 
     async def _forward(self, shard_index: int, request: dict) -> dict:
@@ -662,76 +693,25 @@ class ShardedServer:
 
     # -- admin / health ops ----------------------------------------------------
 
-    async def _broadcast(self, request: dict) -> list[dict]:
-        """Fan one admin op to every shard concurrently; responses in order."""
-        stripped = {key: value for key, value in request.items() if key != "id"}
-        return list(
-            await asyncio.gather(
-                *(self._forward(index, dict(stripped)) for index in range(self.n_shards))
-            )
-        )
-
     async def _publish(self, request: dict) -> dict:
+        """Publish to the owning shard; its reply plus ``"shard"``.
+
+        The admin lock keeps the acceptor's record and the owner's
+        version moving together: the record changes only once the owner
+        has flipped, and a failed publish leaves it as it was.
+        """
         tenant = request.get("tenant")
         if not isinstance(tenant, str) or not tenant:
             raise ValueError("publish must carry a non-empty 'tenant' string")
         path = request.get("path")
         if not isinstance(path, str) or not path:
             raise ValueError("publish must carry a 'path' to a saved model")
+        shard = shard_for(tenant, self.n_shards)
         async with self._admin_lock:
-            responses = await self._broadcast(request)
-            for index, response in enumerate(responses):
-                if "error" in response:
-                    # Partial publish: some replicas may have flipped.
-                    # Surface the first failure verbatim (plus the shard)
-                    # and leave the replay record untouched — health shows
-                    # the per-shard versions for the operator.
-                    failed = dict(response)
-                    failed["shard"] = index
-                    failed["id"] = request.get("id")
-                    return failed
-            self._published[tenant] = path
-        versions = {str(i): r.get("version") for i, r in enumerate(responses)}
-        return {
-            "id": request.get("id"),
-            "tenant": tenant,
-            "version": responses[0].get("version"),
-            "bound": responses[0].get("bound"),
-            "table_bytes": responses[0].get("table_bytes"),
-            "shards": versions,
-        }
-
-    async def _evict(self, request: dict) -> dict:
-        tenant = request.get("tenant")
-        if not isinstance(tenant, str) or not tenant:
-            raise ValueError("evict must carry a non-empty 'tenant' string")
-        async with self._admin_lock:
-            responses = await self._broadcast(request)
-        for index, response in enumerate(responses):
-            if "error" in response:
-                failed = dict(response)
-                failed["shard"] = index
-                failed["id"] = request.get("id")
-                return failed
-        return {
-            "id": request.get("id"),
-            "tenant": tenant,
-            "released": any(bool(r.get("released")) for r in responses),
-            "shards": {str(i): bool(r.get("released")) for i, r in enumerate(responses)},
-        }
-
-    async def _list(self, request: dict) -> dict:
-        # Replicas agree on the registered fleet (broadcast control
-        # plane); shard 0 answers for all, annotated with the pool shape.
-        target = next(
-            (i for i in range(self.n_shards) if i not in self._failed_shards), None
-        )
-        if target is None:
-            raise ServingError("no live shards; the respawn budget is exhausted")
-        response = await self._forward(target, {"op": "list"})
-        response["id"] = request.get("id")
-        response["n_shards"] = self.n_shards
-        return response
+            response = await self._forward(shard, request)
+            if "error" not in response:
+                self._published[tenant] = path
+        return {**response, "shard": shard}
 
     def request_stats(self) -> dict:
         """Always-on acceptor accounting (the sharded zero-dropped audit).
@@ -756,6 +736,8 @@ class ShardedServer:
         Each live shard contributes its own ``health`` response —
         status, queue depth, request accounting, scrub state, fleet —
         wrapped with the supervision view (incarnation, port, alive).
+        ``fleet`` merges the shards' fleet blocks into one registry view
+        (what ``list`` answers), each tenant once.
         """
         shards: dict[str, dict] = {}
         degraded = bool(self._failed_shards)
@@ -785,11 +767,13 @@ class ShardedServer:
             if block.get("status") == "degraded":
                 degraded = True
             shards[str(link.index)] = block
+        fleets = [block["fleet"] for block in shards.values() if "fleet" in block]
         return {
             "status": "degraded" if degraded else "ok",
             "n_shards": self.n_shards,
             "tenants": self.tenants(),
             "requests": self.request_stats(),
+            "fleet": _merge_fleets(fleets),
             "shards": shards,
         }
 
@@ -803,67 +787,50 @@ class ShardedServer:
                 raise ValueError("request must be a JSON object")
             request_id = request.get("id")
             op = request.get("op", "predict")
+            if op in ("predict", "partial_fit"):
+                tenant = request.get("tenant")
+                if tenant is None:
+                    tenant = InferenceService.DEFAULT_TENANT
+                return await self._forward(self._owner(tenant), request)
             if op == "health":
                 return {"id": request_id, **await self.health()}
             if op == "list":
-                return await self._list(request)
+                health = await self.health()
+                return {
+                    "id": request_id,
+                    "status": health["status"],
+                    "n_shards": self.n_shards,
+                    "fleet": health["fleet"],
+                }
             if op == "publish":
                 return await self._publish(request)
             if op == "evict":
-                return await self._evict(request)
-            if op in ("predict", "partial_fit"):
-                shard = self._route(request.get("tenant"))
-                return await self._forward(shard, request)
+                shard = self._owner(request.get("tenant"))
+                return {**await self._forward(shard, request), "shard": shard}
             raise ValueError(f"unknown op {op!r}")
+        except UnknownTenantError as error:
+            return {"id": request_id, "error": "unknown_tenant", "detail": str(error)}
         except ServingError as error:
             return {"id": request_id, "error": "unavailable", "detail": str(error)}
         except (ValueError, TypeError, json.JSONDecodeError) as error:
             return {"id": request_id, "error": "invalid", "detail": str(error)}
 
-    async def _respond(
-        self, line: bytes, writer: asyncio.StreamWriter, lock: asyncio.Lock
-    ) -> None:
-        response = await self._answer(line)
-        async with lock:
-            if writer.is_closing():
-                self.cancelled += 1
-                return
-            try:
-                writer.write((json.dumps(response) + "\n").encode())
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                self.cancelled += 1
+    def _count_orphan(self) -> None:
+        """The client hung up before its answer could be written."""
+        self.cancelled += 1
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Pipelined client connection: task per line, responses by id."""
         telemetry.count("serving.shard.connections.opened")
-        lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                task = self._loop.create_task(self._respond(line, writer, lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        except asyncio.CancelledError:
+            await serve_pipelined(reader, writer, self._answer, self._count_orphan)
+        except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
             pass
         finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
             telemetry.count("serving.shard.connections.closed")
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-            except asyncio.CancelledError:
-                pass
+            await close_quietly(writer)
 
     # -- chaos hooks (bench / tests) -------------------------------------------
 

@@ -1,16 +1,10 @@
-"""Deadline and bounded-retry primitives: typed, deterministic, budgeted."""
+"""The typed deadline error: a ``TimeoutError`` that says how late the work was."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.resilience.retry import (
-    Deadline,
-    DeadlineExceededError,
-    RetryBudgetExceededError,
-    backoff_delays,
-    retry_call,
-)
+from repro.resilience.retry import DeadlineExceededError
 
 
 class TestDeadline:
@@ -20,119 +14,3 @@ class TestDeadline:
         assert error.waited_seconds == pytest.approx(0.25)
         assert error.budget_seconds == pytest.approx(0.1)
         assert "scrub" in str(error)
-
-    def test_remaining_counts_down_and_expires(self):
-        deadline = Deadline(10.0)
-        now = deadline.started_at
-        assert deadline.remaining(now=now + 4.0) == pytest.approx(6.0)
-        assert not deadline.expired(now=now + 9.0)
-        assert deadline.expired(now=now + 10.5)
-        assert deadline.remaining(now=now + 99.0) == 0.0  # never negative
-
-    def test_check_raises_typed_when_spent(self):
-        deadline = Deadline(1.0)
-        deadline.check(now=deadline.started_at + 0.5)  # within budget: no-op
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            deadline.check("the batch", now=deadline.started_at + 2.0)
-        assert excinfo.value.budget_seconds == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("budget", [0.0, -1.0])
-    def test_rejects_non_positive_budget(self, budget):
-        with pytest.raises(ValueError, match="budget_seconds"):
-            Deadline(budget)
-
-
-class TestBackoffDelays:
-    def test_exponential_without_jitter(self):
-        delays = list(backoff_delays(4, base_delay=0.1, max_delay=10.0, jitter=0.0))
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.8])
-
-    def test_capped_at_max_delay(self):
-        delays = list(backoff_delays(6, base_delay=1.0, max_delay=2.0, jitter=0.0))
-        assert max(delays) == pytest.approx(2.0)
-
-    def test_jitter_is_seeded_and_bounded(self):
-        first = list(backoff_delays(5, jitter=0.5, rng=42))
-        second = list(backoff_delays(5, jitter=0.5, rng=42))
-        assert first == second  # reproducible schedule
-        unjittered = list(backoff_delays(5, jitter=0.0))
-        for jittered, base in zip(first, unjittered):
-            assert 0.5 * base <= jittered <= 1.5 * base
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="retries"):
-            list(backoff_delays(-1))
-        with pytest.raises(ValueError, match="base_delay"):
-            list(backoff_delays(1, base_delay=2.0, max_delay=1.0))
-        with pytest.raises(ValueError, match="jitter"):
-            list(backoff_delays(1, jitter=1.5))
-
-
-class TestRetryCall:
-    def test_transient_failures_absorbed(self):
-        sleeps = []
-        attempts = {"n": 0}
-
-        def flaky():
-            attempts["n"] += 1
-            if attempts["n"] < 3:
-                raise ConnectionError("transient")
-            return "answer"
-
-        result = retry_call(flaky, retries=3, rng=0, sleep=sleeps.append)
-        assert result == "answer"
-        assert attempts["n"] == 3
-        assert len(sleeps) == 2  # one backoff per failed attempt
-
-    def test_non_transient_error_propagates_immediately(self):
-        attempts = {"n": 0}
-
-        def buggy():
-            attempts["n"] += 1
-            raise ValueError("a bug, not weather")
-
-        with pytest.raises(ValueError):
-            retry_call(buggy, retries=5, sleep=lambda _: None)
-        assert attempts["n"] == 1
-
-    def test_budget_exhaustion_typed_with_cause(self):
-        def always_down():
-            raise OSError("still down")
-
-        with pytest.raises(RetryBudgetExceededError) as excinfo:
-            retry_call(always_down, retries=2, rng=0, sleep=lambda _: None)
-        assert excinfo.value.attempts == 3  # first call + 2 retries
-        assert isinstance(excinfo.value.last_error, OSError)
-        assert isinstance(excinfo.value.__cause__, OSError)
-
-    def test_deadline_bounds_the_retry_loop(self):
-        deadline = Deadline(0.001)
-        deadline.started_at -= 1.0  # already spent
-
-        def always_down():
-            raise TimeoutError("slow dependency")
-
-        with pytest.raises(DeadlineExceededError):
-            retry_call(
-                always_down, retries=10, deadline=deadline, sleep=lambda _: None
-            )
-
-    def test_on_retry_observer(self):
-        seen = []
-
-        def flaky():
-            if len(seen) < 2:
-                raise OSError("transient")
-            return 7
-
-        retry_call(
-            flaky,
-            retries=5,
-            rng=0,
-            sleep=lambda _: None,
-            on_retry=lambda attempt, error, delay: seen.append(
-                (attempt, type(error).__name__, delay)
-            ),
-        )
-        assert [entry[0] for entry in seen] == [1, 2]
-        assert all(entry[1] == "OSError" for entry in seen)

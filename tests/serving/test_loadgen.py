@@ -425,3 +425,57 @@ def test_open_loop_swap_is_performed():
     assert swap["version_after"] == swap["version_before"] + 1
     assert payload["checks"]["swap_zero_downtime"] is True
     assert payload["checks"]["per_tenant_bit_identity"] is True
+
+
+@pytest.fixture(scope="module")
+def sharded_payload():
+    return run_loadgen(
+        DEFAULT_SERVING_WORKLOADS["smoke"],
+        LoadgenConfig(mode="open", rates=(400.0,), n_tenants=3, n_shards=2, n_requests=120),
+    )
+
+
+def test_sharded_fleet_registry_names_every_tenant_once(sharded_payload):
+    assert validate_serving_payload(sharded_payload) is sharded_payload
+    results = sharded_payload["results"]
+    tenants = sorted(results["fleet"]["tenants"])
+    assert len(tenants) == 3
+    assert sorted(results["fleet"]["registry"]["tenants"]) == tenants
+    registered = [
+        name
+        for block in results["sharding"]["per_shard"].values()
+        for name in block["fleet"]["tenants"]
+    ]
+    assert sorted(registered) == tenants
+
+
+def _copy_tenant_to_other_shard(payload):
+    per_shard = payload["results"]["sharding"]["per_shard"]
+    holder = next(block for block in per_shard.values() if block["fleet"]["tenants"])
+    other = next(block for block in per_shard.values() if block is not holder)
+    tenant, record = next(iter(holder["fleet"]["tenants"].items()))
+    other["fleet"]["tenants"][tenant] = record
+
+
+def _drop_tenant_from_its_shard(payload):
+    per_shard = payload["results"]["sharding"]["per_shard"]
+    holder = next(block for block in per_shard.values() if block["fleet"]["tenants"])
+    holder["fleet"]["tenants"].pop(next(iter(holder["fleet"]["tenants"])))
+
+
+@pytest.mark.parametrize(
+    ("mutate", "message"),
+    [
+        (_copy_tenant_to_other_shard, "exactly one shard, found on 2"),
+        (_drop_tenant_from_its_shard, "exactly one shard, found on 0"),
+        (
+            lambda p: p["results"]["sharding"].__delitem__("per_shard"),
+            "results.sharding.per_shard",
+        ),
+    ],
+)
+def test_schema_rejects_a_tenant_not_on_exactly_one_shard(sharded_payload, mutate, message):
+    corrupted = copy.deepcopy(sharded_payload)
+    mutate(corrupted)
+    with pytest.raises(ValueError, match=message):
+        validate_serving_payload(corrupted)

@@ -1,4 +1,4 @@
-"""Sharded serving: tenant affinity, broadcast admin ops, supervised respawn.
+"""Sharded serving: tenant affinity, owner-only admin ops, supervised respawn.
 
 Process-spawning tests are kept small (two shards, tiny models saved once
 per module) and every assertion that involves shard death goes through
@@ -69,6 +69,11 @@ def _models(tenant_artifacts):
     return [(tenant, path) for tenant, (_, path) in tenant_artifacts.items()]
 
 
+async def _until(condition):
+    while not condition():
+        await asyncio.sleep(0.005)
+
+
 class TestShardedServer:
     def test_predictions_match_direct_across_tenants(
         self, tenant_artifacts, queries
@@ -111,10 +116,11 @@ class TestShardedServer:
         assert stats["failed"] == 0
         assert stats["answered"] == stats["forwarded"]
 
-    def test_broadcast_publish_evict_and_routing_errors(
+    def test_owner_only_publish_evict_and_routing_errors(
         self, tenant_artifacts, queries
     ):
         _, alpha_path = tenant_artifacts["alpha"]
+        owner = shard_for("alpha", 2)
 
         async def drive():
             async with ShardedServer(
@@ -128,6 +134,7 @@ class TestShardedServer:
                     published = await client.request(
                         {"op": "publish", "tenant": "alpha", "path": alpha_path}
                     )
+                    health = await server.health()
                     listed = await client.request({"op": "list"})
                     served = await client.request(
                         {"op": "predict", "tenant": "alpha",
@@ -136,25 +143,125 @@ class TestShardedServer:
                     evicted = await client.request(
                         {"op": "evict", "tenant": "alpha"}
                     )
-                    unknown = await client.request(
-                        {"op": "predict", "tenant": "ghost",
-                         "x": queries[0].tolist()}
-                    )
-                    invalid = await client.request({"op": "predict"})
-            return published, listed, served, evicted, unknown, invalid
+                    forwarded = server.request_stats()["forwarded"]
+                    unknown = [
+                        await client.request({"op": op, "tenant": "ghost", "x": x})
+                        for op, x in (
+                            ("predict", queries[0].tolist()),
+                            ("partial_fit", [queries[0].tolist()]),
+                            ("evict", None),
+                        )
+                    ]
+                    unforwarded = server.request_stats()["forwarded"] == forwarded
+                    invalid = await client.request({"op": "predict", "tenant": "alpha"})
+            return published, health, listed, served, evicted, unknown, unforwarded, invalid
 
-        published, listed, served, evicted, unknown, invalid = asyncio.run(drive())
-        # Publish is a broadcast: one version everywhere, per-shard echo.
+        published, health, listed, served, evicted, unknown, unforwarded, invalid = (
+            asyncio.run(drive())
+        )
+        # Publish goes to the owner alone; the reply is the owner's own.
         assert published["tenant"] == "alpha" and published["version"] == 2
-        assert set(published["shards"]) == {"0", "1"}
-        assert all(v == 2 for v in published["shards"].values())
-        assert listed["fleet"]["tenants"]["alpha"]["version"] == 2
+        assert published["shard"] == owner
+        assert "shards" not in published
+        other = health["shards"][str(1 - owner)]["fleet"]["tenants"]
+        assert "alpha" not in other
+        assert health["shards"][str(owner)]["fleet"]["tenants"]["alpha"]["version"] == 2
+        tenants = listed["fleet"]["tenants"]
+        assert sorted(tenants) == ["alpha", "beta"]
+        assert tenants["alpha"]["version"] == 2 and tenants["beta"]["version"] == 1
         assert listed["n_shards"] == 2
         expected = int(tenant_artifacts["alpha"][0].predict(queries[0]))
         assert served["prediction"] == expected  # same artifact: bit-identical
-        assert evicted["tenant"] == "alpha" and "released" in evicted
-        assert unknown["error"] == "unknown_tenant"
+        assert evicted["tenant"] == "alpha" and evicted["shard"] == owner
+        assert "released" in evicted
+        # The acceptor answers an unrecorded tenant itself, naming the
+        # fleet, without forwarding it to any shard.
+        for response in unknown:
+            assert response["error"] == "unknown_tenant"
+            assert "alpha" in response["detail"] and "beta" in response["detail"]
+        assert unforwarded
         assert invalid["error"] == "invalid"
+
+    def test_each_shard_holds_only_its_tenants(self, tenant_artifacts, queries):
+        alpha_clf, _ = tenant_artifacts["alpha"]
+        victim = shard_for("alpha", 2)
+        owned = {
+            str(index): sorted(t for t in tenant_artifacts if shard_for(t, 2) == index)
+            for index in range(2)
+        }
+
+        async def drive():
+            async with ShardedServer(
+                _models(tenant_artifacts),
+                n_shards=2,
+                config=MicrobatchConfig(max_batch=8, max_wait_ms=2.0),
+            ) as server:
+                boot = await server.health()
+                server.kill_shard(victim)
+                await asyncio.wait_for(
+                    _until(lambda: server.request_stats()["respawns"] >= 1), 30
+                )
+                async with await PipelinedClient.connect(
+                    server.host, server.port
+                ) as client:
+                    responses = await asyncio.gather(*[
+                        client.request(
+                            {"op": "predict", "tenant": "alpha", "x": row.tolist()}
+                        )
+                        for row in queries
+                    ])
+                respawned = await server.health()
+            return boot, respawned, responses
+
+        boot, respawned, responses = asyncio.run(drive())
+        for health in (boot, respawned):
+            held = {
+                index: sorted(block["fleet"]["tenants"])
+                for index, block in health["shards"].items()
+            }
+            assert held == owned
+            assert sorted(health["fleet"]["tenants"]) == ["alpha", "beta"]
+        assert respawned["shards"][str(victim)]["incarnation"] >= 1
+        got = np.asarray([r["prediction"] for r in responses])
+        np.testing.assert_array_equal(got, alpha_clf.predict(queries))
+
+    def test_wire_publish_of_new_tenant_lands_on_its_owner(
+        self, tenant_artifacts, small_dataset, queries, tmp_path
+    ):
+        gamma = LookHDClassifier(LookHDConfig(dim=512, levels=4, chunk_size=4, seed=23))
+        gamma.fit(small_dataset.train_features, small_dataset.train_labels)
+        path = str(save_classifier(gamma, tmp_path / "gamma.npz"))
+        owner = shard_for("gamma", 2)
+
+        async def drive():
+            async with ShardedServer(
+                _models(tenant_artifacts),
+                n_shards=2,
+                config=MicrobatchConfig(max_batch=8, max_wait_ms=2.0),
+            ) as server:
+                async with await PipelinedClient.connect(
+                    server.host, server.port
+                ) as client:
+                    published = await client.request(
+                        {"op": "publish", "tenant": "gamma", "path": path}
+                    )
+                    responses = await asyncio.gather(*[
+                        client.request(
+                            {"op": "predict", "tenant": "gamma", "x": row.tolist()}
+                        )
+                        for row in queries
+                    ])
+                health = await server.health()
+                tenants = server.tenants()
+            return published, responses, health, tenants
+
+        published, responses, health, tenants = asyncio.run(drive())
+        assert published["shard"] == owner and published["version"] == 1
+        assert "gamma" in health["shards"][str(owner)]["fleet"]["tenants"]
+        assert "gamma" not in health["shards"][str(1 - owner)]["fleet"]["tenants"]
+        assert tenants == ["alpha", "beta", "gamma"]
+        got = np.asarray([r["prediction"] for r in responses])
+        np.testing.assert_array_equal(got, gamma.predict(queries))
 
     def test_shard_kill_replays_in_flight_requests(
         self, tenant_artifacts, queries
@@ -208,10 +315,6 @@ class TestShardedServer:
         victim = shard_for("alpha", 2)
         expected = alpha_clf.predict(queries)
 
-        async def until(condition):
-            while not condition():
-                await asyncio.sleep(0.005)
-
         async def drive():
             server = ShardedServer(
                 _models(tenant_artifacts),
@@ -225,7 +328,7 @@ class TestShardedServer:
                 ) as client:
                     server.kill_shard(victim)
                     await asyncio.wait_for(
-                        until(lambda: server.request_stats()["respawns"] >= 1), 30
+                        _until(lambda: server.request_stats()["respawns"] >= 1), 30
                     )
                     # Hold the fresh shard before it reports ready, so the
                     # stop lands mid-respawn.
@@ -239,7 +342,7 @@ class TestShardedServer:
                         for row in queries
                     ]
                     await asyncio.wait_for(
-                        until(lambda: server.request_stats()["forwarded"] >= len(queries)),
+                        _until(lambda: server.request_stats()["forwarded"] >= len(queries)),
                         30,
                     )
                     stopping = asyncio.create_task(server.stop())

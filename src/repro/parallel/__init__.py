@@ -27,7 +27,6 @@ from repro.parallel.executor import (
     reap_processes,
     resolve_n_workers,
     shared_memory_available,
-    watch_process,
 )
 from repro.parallel.trainer import ParallelTrainer
 
@@ -44,5 +43,4 @@ __all__ = [
     "reap_processes",
     "resolve_n_workers",
     "shared_memory_available",
-    "watch_process",
 ]

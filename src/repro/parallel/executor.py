@@ -18,17 +18,17 @@ This module provides the one executor all three share:
   (:class:`WorkerError` carries the worker traceback), and a graceful
   in-process fallback when ``n_workers == 1``.
 
-Tasks and results travel over a ``multiprocessing`` queue (they must be
-picklable); the *data* the tasks operate on should travel via
-:class:`SharedArray`.  Task functions must be module-level (importable)
-so the ``spawn`` start method works where ``fork`` is unavailable.
+Tasks travel to each worker as process arguments and results come back
+on that worker's own one-way pipe (both must be picklable); the *data*
+the tasks operate on should travel via :class:`SharedArray`.  Task
+functions must be module-level (importable) so the ``spawn`` start
+method works where ``fork`` is unavailable.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
-import threading
+import multiprocessing.connection
 import time
 import traceback
 from dataclasses import dataclass
@@ -51,15 +51,7 @@ __all__ = [
     "reap_processes",
     "resolve_n_workers",
     "shared_memory_available",
-    "watch_process",
 ]
-
-#: Backstop timeout on the (otherwise blocking) result-queue get.  Worker
-#: exits are pushed into the queue by parent-side watcher threads, so the
-#: parent normally never waits this long — the backstop only matters if a
-#: wakeup message is somehow lost, and then it costs one retry, not
-#: correctness.
-_QUEUE_BACKSTOP_SECONDS = 60.0
 
 #: Default respawn budget per :meth:`ProcessExecutor.map` call: how many
 #: times dead workers are replaced before the executor gives up with a
@@ -143,30 +135,6 @@ def plan_shards(n_items: int, n_workers: int) -> tuple[tuple[int, int], ...]:
         shards.append((start, stop))
         start = stop
     return tuple(shards)
-
-
-def watch_process(process, on_exit, name: str = "watch") -> threading.Thread:
-    """Start a daemon thread that joins ``process`` and reports its exit.
-
-    The watcher blocks in ``process.join()`` (no CPU) and, when the
-    process exits, calls ``on_exit(exitcode)``.  This is the parent-side
-    death-detection half of the supervision machinery, shared by
-    :class:`ProcessExecutor` (training workers) and the sharded serving
-    pool (:mod:`repro.serving.shard`): the callback decides what a death
-    means — push a wakeup message, schedule a respawn — while the watcher
-    itself stays a dumb, exception-swallowing join loop.
-    """
-
-    def _watch():
-        process.join()
-        try:
-            on_exit(process.exitcode)
-        except Exception:  # noqa: BLE001 — a dying callback must not kill the thread
-            pass
-
-    thread = threading.Thread(target=_watch, daemon=True, name=name)
-    thread.start()
-    return thread
 
 
 def reap_processes(processes) -> None:
@@ -291,8 +259,13 @@ class MapStats:
         return min(1.0, sum(self.worker_seconds) / (self.n_workers * self.wall_seconds))
 
 
-def _worker_main(worker_index, fn, assigned, initializer, initargs, finalizer, results):
-    """Worker entry point: broadcast init, run assigned tasks, report done."""
+def _worker_main(fn, assigned, initializer, initargs, finalizer, results):
+    """Worker entry point: broadcast init, run assigned tasks, report done.
+
+    ``results`` is the write end of this worker's own pipe.  ``send``
+    pickles in this thread, so a result that cannot be pickled fails its
+    task like any other exception.
+    """
     busy_start = time.perf_counter()
     task_index = None
     try:
@@ -302,17 +275,14 @@ def _worker_main(worker_index, fn, assigned, initializer, initargs, finalizer, r
             for task_index, task in assigned:
                 task_start = time.perf_counter()
                 value = fn(task)
-                results.put(
-                    ("result", worker_index, task_index, value, time.perf_counter() - task_start)
-                )
+                results.send(("result", task_index, value, time.perf_counter() - task_start))
         finally:
             if finalizer is not None:
                 finalizer()
     except BaseException as error:  # noqa: BLE001 — forwarded as WorkerError
-        results.put(
+        results.send(
             (
                 "error",
-                worker_index,
                 task_index,
                 type(error).__name__,
                 str(error),
@@ -320,17 +290,22 @@ def _worker_main(worker_index, fn, assigned, initializer, initargs, finalizer, r
             )
         )
         return
-    results.put(("done", worker_index, time.perf_counter() - busy_start))
+    results.send(("done", time.perf_counter() - busy_start))
 
 
 class ProcessExecutor:
     """Deterministic static-assignment process pool.
 
+    Each worker reports on its own one-way pipe, whose only write end it
+    holds; the parent waits on every live worker's read end at once.  A
+    worker's death reads as end-of-file on its pipe, after every message
+    it sent, so no result is lost to the death and no thread watches it.
+
     Parameters
     ----------
     n_workers:
         Process count; ``None`` or ``1`` runs everything in-process (no
-        subprocess, no queues) — the graceful-fallback path.
+        subprocess, no pipes) — the graceful-fallback path.
     initializer, initargs:
         Run once per worker before any task — the read-only broadcast
         channel (e.g. a fitted encoder plus :class:`SharedArraySpec`
@@ -401,148 +376,103 @@ class ProcessExecutor:
         )
         return results
 
-    def _spawn(self, context, result_queue, slot, incarnation, fn, assigned):
-        """Start one worker for ``slot`` plus its parent-side watcher thread.
-
-        The watcher blocks in ``process.join()`` (no CPU) and, when the
-        worker exits, pushes a parent-side ``("exit", …)`` wakeup into the
-        result queue.  Because the worker's own messages entered the queue
-        pipe before it died and the wakeup is enqueued after, the parent
-        consumes every result the worker managed to flush *before* acting
-        on its death — no in-flight data is raced away.
-        """
-        process = context.Process(
-            target=_worker_main,
-            args=(
-                slot,
-                fn,
-                assigned,
-                self.initializer,
-                self.initargs,
-                self.finalizer,
-                result_queue,
-            ),
-            daemon=True,
-        )
-        process.start()
-
-        def _on_exit(exitcode):
-            try:
-                result_queue.put(("exit", slot, incarnation, exitcode))
-            except (ValueError, OSError):  # queue already closed at teardown
-                pass
-
-        watch_process(process, _on_exit, name=f"executor-watch-{slot}")
-        return process
-
     def _map_processes(self, fn, tasks) -> list:
         context = multiprocessing.get_context(default_start_method())
-        n_procs = min(self.n_workers, len(tasks)) if tasks else self.n_workers
-        result_queue = context.Queue()
+        n_procs = min(self.n_workers, len(tasks))
         assignments = [
             [(index, tasks[index]) for index in range(worker, len(tasks), n_procs)]
             for worker in range(n_procs)
         ]
         wall_start = time.perf_counter()
-        incarnations = [0] * n_procs
-        current = [
-            self._spawn(context, result_queue, slot, 0, fn, assignments[slot])
-            for slot in range(n_procs)
-        ]
-        all_processes = list(current)
-
         results = [None] * len(tasks)
         received = [False] * len(tasks)
         task_seconds = [0.0] * len(tasks)
         worker_seconds = [0.0] * n_procs
-        finished = [False] * n_procs
         respawns = 0
         error: WorkerError | None = None
+        processes = []
+        # Read end of each unfinished worker's pipe → (slot, process).
+        readers = {}
+
+        def spawn(slot, assigned):
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_worker_main,
+                args=(fn, assigned, self.initializer, self.initargs, self.finalizer, writer),
+                daemon=True,
+            )
+            process.start()
+            writer.close()  # the worker holds the only write end: its death is EOF
+            processes.append(process)
+            readers[reader] = (slot, process)
+
         try:
-            while not all(finished) and error is None:
-                try:
-                    # Blocking get: worker results, errors, and dones arrive
-                    # here, and so do the watcher threads' exit wakeups — an
-                    # idle parent burns no CPU (the busy-poll this replaces
-                    # woke 10×/second for the whole training run).
-                    message = result_queue.get(timeout=_QUEUE_BACKSTOP_SECONDS)
-                except queue_module.Empty:
-                    # Backstop only: a lost wakeup shows up as a long silence.
-                    # Synthesise exit messages for any dead-but-unhandled
-                    # workers and loop; live-and-working pools just re-block.
-                    for slot, process in enumerate(current):
-                        if not finished[slot] and process.exitcode is not None:
-                            result_queue.put(
-                                ("exit", slot, incarnations[slot], process.exitcode)
-                            )
-                    continue
-                kind = message[0]
-                if kind == "result":
-                    _, slot, task_index, value, seconds = message
-                    results[task_index] = value
-                    received[task_index] = True
-                    task_seconds[task_index] = seconds
-                elif kind == "done":
-                    _, slot, busy = message
-                    worker_seconds[slot] += busy
-                    finished[slot] = True
-                elif kind == "error":
-                    _, slot, task_index, cause_type, cause_message, text = message
-                    error = WorkerError(
-                        f"worker {slot} failed"
-                        + (f" on task {task_index}" if task_index is not None else " during setup")
-                        + f": {cause_type}: {cause_message}",
-                        worker_index=slot,
-                        task_index=task_index,
-                        cause_type=cause_type,
-                        worker_traceback=text,
-                    )
-                elif kind == "exit":
-                    _, slot, incarnation, exitcode = message
-                    if finished[slot] or incarnation != incarnations[slot]:
-                        continue  # normal completion, or a stale duplicate
-                    # The worker died mid-assignment.  Its results that
-                    # reached the queue were consumed above (FIFO), so the
-                    # remaining tasks are exactly the un-received ones —
-                    # re-running them on a fresh worker is bit-identical
-                    # because assignment is static, not work-stealing.
+            for slot in range(n_procs):
+                spawn(slot, assignments[slot])
+            while readers and error is None:
+                for reader in multiprocessing.connection.wait(list(readers)):
+                    slot, process = readers[reader]
+                    try:
+                        message = reader.recv()
+                    except (EOFError, OSError):  # the worker exited
+                        message = ("exit",)
+                    kind = message[0]
+                    if kind == "result":
+                        _, task_index, value, seconds = message
+                        results[task_index] = value
+                        received[task_index] = True
+                        task_seconds[task_index] = seconds
+                        continue
+                    # "done", "error" or EOF: this incarnation has no more to say.
+                    del readers[reader]
+                    reader.close()
+                    if kind == "done":
+                        worker_seconds[slot] += message[1]
+                        continue
+                    if kind == "error":
+                        _, task_index, cause_type, cause_message, text = message
+                        where = "during setup" if task_index is None else f"on task {task_index}"
+                        error = WorkerError(
+                            f"worker {slot} failed {where}: {cause_type}: {cause_message}",
+                            worker_index=slot,
+                            task_index=task_index,
+                            cause_type=cause_type,
+                            worker_traceback=text,
+                        )
+                        break
+                    # EOF without "done": the worker died mid-assignment.
+                    # Its pipe delivers in order, so every result it sent
+                    # was consumed above and the remaining tasks are exactly
+                    # the un-received ones; re-running them on a fresh
+                    # worker is bit-identical because assignment is static,
+                    # not work-stealing.
                     remaining = [
                         (index, task)
                         for index, task in assignments[slot]
                         if not received[index]
                     ]
                     if not remaining:
-                        finished[slot] = True
                         continue
                     if respawns >= self.max_respawns:
+                        process.join()
                         error = WorkerError(
-                            f"worker {slot} exited with code {exitcode} before "
+                            f"worker {slot} exited with code {process.exitcode} before "
                             f"finishing its tasks, and the respawn budget "
                             f"({self.max_respawns}) is exhausted",
                             worker_index=slot,
                         )
-                        continue
+                        break
                     respawns += 1
-                    incarnations[slot] += 1
                     telemetry.count("parallel.workers.respawned")
-                    replacement = self._spawn(
-                        context, result_queue, slot, incarnations[slot], fn, remaining
-                    )
-                    current[slot] = replacement
-                    all_processes.append(replacement)
+                    spawn(slot, remaining)
         finally:
-            # A worker terminated while its feeder thread holds the
-            # queue's write lock leaves that lock held for good, and the
-            # watchers' late wakeups then block this process's feeder
-            # forever.  Nothing reads them after this point, so never
-            # join that feeder (interpreter exit would hang on it).
-            result_queue.cancel_join_thread()
             if error is not None:
-                for process in all_processes:
+                for process in processes:
                     if process.is_alive():
                         process.terminate()
-            reap_processes(all_processes)
-            result_queue.close()
+            reap_processes(processes)
+            for reader in readers:
+                reader.close()
         if error is not None:
             raise error
         self.last_stats = MapStats(

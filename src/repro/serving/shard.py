@@ -34,17 +34,16 @@ Design points, in the order they matter:
   ``unknown_tenant`` itself for any tenant it has no record of.  ``list``
   merges the shards' own registry snapshots into one fleet view.
 
-* **Supervision, reused from the training pool.**  Shard processes are
-  watched with the same machinery as
-  :class:`~repro.parallel.executor.ProcessExecutor` workers
-  (:func:`~repro.parallel.executor.watch_process` death callbacks,
-  incarnation tags to ignore stale events, join→terminate→kill
-  :func:`~repro.parallel.executor.reap_processes`, typed
-  :class:`~repro.parallel.executor.WorkerError` when the respawn budget
-  runs out).  A dead shard is respawned, republished from the recorded
-  artifacts, and its in-flight requests are transparently **re-sent** to
-  the fresh incarnation — predictions are idempotent, so a mid-run
-  shard kill costs latency, never answers (the bench's
+* **Supervision on the acceptor's own loop.**  The event loop watches
+  each shard process's sentinel (``loop.add_reader``), so a death wakes
+  the loop directly and no thread waits on any shard; incarnation tags
+  ignore stale events, and the shards share the training pool's
+  join→terminate→kill :func:`~repro.parallel.executor.reap_processes`
+  and its typed :class:`~repro.parallel.executor.WorkerError` when the
+  respawn budget runs out.  A dead shard is respawned, republished from
+  the recorded artifacts, and its in-flight requests are transparently
+  **re-sent** to the fresh incarnation — predictions are idempotent, so
+  a mid-run shard kill costs latency, never answers (the bench's
   availability/zero-dropped recovery gates).  A respawned shard's
   registry restarts at version 1 per owned tenant (it is a fresh process
   rebuilt from artifacts); live ``partial_fit`` updates applied since the
@@ -87,7 +86,6 @@ from repro.parallel.executor import (
     WorkerError,
     default_start_method,
     reap_processes,
-    watch_process,
 )
 from repro.serving.registry import ModelRegistry, UnknownTenantError
 from repro.serving.server import (
@@ -203,12 +201,15 @@ def _shard_main(
 class _Pending:
     """One forwarded request awaiting its shard response."""
 
-    __slots__ = ("future", "payload", "client_id", "sent")
+    __slots__ = ("future", "payload", "client_id", "counted", "sent")
 
-    def __init__(self, future: asyncio.Future, payload: bytes, client_id):
+    def __init__(self, future: asyncio.Future, payload: bytes, client_id, counted: bool):
         self.future = future
         self.payload = payload
         self.client_id = client_id
+        #: Whether the request counts in the acceptor's and its link's
+        #: accounting; the acceptor's own health probes do not.
+        self.counted = counted
         #: Whether the payload has been written to the *current* shard
         #: incarnation.  Recovery replays unsent-or-unanswered entries and
         #: flips this, so a request parked on the ready event is not sent
@@ -423,6 +424,7 @@ class ShardedServer:
             link.pending.clear()
         processes = [link.process for link in self._links if link.process is not None]
         for process in processes:
+            self._loop.remove_reader(process.sentinel)
             if process.is_alive():
                 process.terminate()  # SIGTERM → shard-side graceful drain
         await asyncio.get_running_loop().run_in_executor(
@@ -448,7 +450,7 @@ class ShardedServer:
 
     def _spawn_shard(self, link: _ShardLink) -> None:
         """Start one shard process, holding the recorded tenants it owns,
-        plus its death watcher (incarnation-tagged)."""
+        and watch its sentinel (incarnation-tagged)."""
         owned = [
             (tenant, path)
             for tenant, path in self._published.items()
@@ -474,20 +476,18 @@ class ShardedServer:
             link.ready_pipe.close()
         link.ready_pipe = ready_pipe
         link.process = process
-        incarnation = link.incarnation
+        self._loop.add_reader(process.sentinel, self._on_exit, link, process, link.incarnation)
 
-        def _on_exit(exitcode, link=link, incarnation=incarnation):
-            loop = self._loop
-            if loop is None:
-                return
-            try:
-                loop.call_soon_threadsafe(
-                    self._begin_recovery, link, incarnation, exitcode
-                )
-            except RuntimeError:  # loop already closed at teardown
-                pass
+    def _on_exit(self, link: _ShardLink, process, incarnation: int) -> None:
+        """The shard's sentinel became readable: the process has exited.
 
-        watch_process(process, _on_exit, name=f"shard-watch-{link.index}")
+        A sentinel stays readable, so the reader goes first; the join then
+        returns at once.  A replaced incarnation stays watched until this
+        fires, so it is reaped too, and its stale tag makes recovery a no-op.
+        """
+        self._loop.remove_reader(process.sentinel)
+        process.join()
+        self._begin_recovery(link, incarnation, process.exitcode)
 
     async def _await_ready(self, expected: set[int]) -> dict[int, int]:
         """Read the bound port from every expected shard's ready pipe."""
@@ -543,15 +543,16 @@ class ShardedServer:
                 entry = link.pending.pop(message.get("id"), None)
                 if entry is None:
                     continue  # duplicate answer after a mid-flight replay
-                link.answered += 1
-                self.answered += 1
+                if entry.counted:
+                    link.answered += 1
+                    self.answered += 1
                 if not entry.future.done():
                     entry.future.set_result(message)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
         except asyncio.CancelledError:
             return
-        # EOF or reset: the shard side went away.  The watcher thread
+        # EOF or reset: the shard side went away.  The shard's sentinel
         # reports process death too; whichever lands first wins the
         # incarnation check and the other becomes a no-op.
         self._begin_recovery(link, incarnation, None)
@@ -571,7 +572,8 @@ class ShardedServer:
         self._failed_shards[link.index] = detail
         for entry in link.pending.values():
             if not entry.future.done():
-                self.failed += 1
+                if entry.counted:
+                    self.failed += 1
                 entry.future.set_exception(ServingError(detail))
         link.pending.clear()
         link.ready.set()  # wake waiters so they observe the failure
@@ -629,7 +631,8 @@ class ShardedServer:
                 for sid in sorted(link.pending):
                     entry = link.pending[sid]
                     entry.sent = True
-                    self.retried += 1
+                    if entry.counted:
+                        self.retried += 1
                     link.writer.write(entry.payload)
                 if link.pending:
                     await link.writer.drain()
@@ -652,11 +655,13 @@ class ShardedServer:
             raise UnknownTenantError(tenant, self._published)
         return shard_for(tenant, self.n_shards)
 
-    async def _forward(self, shard_index: int, request: dict) -> dict:
+    async def _forward(self, shard_index: int, request: dict, counted: bool = True) -> dict:
         """Send one request to a shard; resolve with its response dict.
 
         The client's ``id`` is replaced by an internal sequence number on
         the shard hop (the pending key) and restored on the way back.
+        ``counted=False`` keeps the request out of the accounting (the
+        acceptor's own health probes).
         """
         link = self._links[shard_index]
         detail = self._failed_shards.get(shard_index)
@@ -668,10 +673,11 @@ class ShardedServer:
         forwarded = dict(request)
         forwarded["id"] = sid
         payload = (json.dumps(forwarded) + "\n").encode()
-        entry = _Pending(self._loop.create_future(), payload, client_id)
+        entry = _Pending(self._loop.create_future(), payload, client_id, counted)
         link.pending[sid] = entry
-        self.forwarded += 1
-        link.forwarded += 1
+        if counted:
+            self.forwarded += 1
+            link.forwarded += 1
         while not link.ready.is_set():
             await link.ready.wait()
         # The future may already hold _fail_shard's exception; recovery
@@ -756,7 +762,7 @@ class ShardedServer:
             else:
                 try:
                     response = await asyncio.wait_for(
-                        self._forward(link.index, {"op": "health"}),
+                        self._forward(link.index, {"op": "health"}, counted=False),
                         timeout=self.ready_timeout,
                     )
                     response.pop("id", None)
@@ -838,7 +844,7 @@ class ShardedServer:
         """Kill one shard process (SIGKILL by default) — the chaos hook.
 
         Returns the killed process's pid.  Recovery is automatic: the
-        watcher and the link reader race to notice, the slot respawns,
+        sentinel and the link reader race to notice, the slot respawns,
         republishes, and replays its in-flight requests.
         """
         link = self._links[index]

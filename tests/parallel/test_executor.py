@@ -1,10 +1,12 @@
 """Executor layer: shard planning, shared-memory shipping, typed errors."""
 
+import gc
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,10 @@ def _fail_on_three(task):
     if task == 3:
         raise ValueError("boom three")
     return task
+
+
+def _lock_on_two(task):
+    return threading.Lock() if task == 2 else task
 
 
 _STATE = {}
@@ -178,6 +184,30 @@ class TestProcessExecutor:
         assert "boom three" in str(error)
         assert "boom three" in error.worker_traceback
 
+    def test_unpicklable_result_is_a_typed_task_error(self):
+        executor = ProcessExecutor(n_workers=2)
+        with pytest.raises(WorkerError) as excinfo:
+            executor.map(_lock_on_two, [0, 1, 2, 3])
+        error = excinfo.value
+        assert error.task_index == 2
+        assert error.cause_type == "TypeError"
+        assert "task 2" in str(error)
+
+    def test_failing_maps_leave_no_threads_or_fds(self):
+        fd_dir = Path("/proc/self/fd")
+
+        def open_fds():
+            return len(os.listdir(fd_dir)) if fd_dir.is_dir() else None
+
+        gc.collect()
+        threads, fds = threading.active_count(), open_fds()
+        for _ in range(100):
+            with pytest.raises(WorkerError):
+                ProcessExecutor(n_workers=2).map(_fail_on_three, [1, 2, 3, 4])
+        gc.collect()
+        assert threading.active_count() == threads
+        assert open_fds() == fds
+
     def test_default_start_method_is_supported(self):
         assert default_start_method() in ("fork", "spawn")
 
@@ -208,5 +238,52 @@ class TestProcessExecutor:
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run(
             [sys.executable, str(script)], env=env, capture_output=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr.decode()
+
+    def test_spawn_start_method(self, tmp_path):
+        # Where fork is unavailable the executor spawns its workers, and
+        # each worker's pipe end then crosses into a fresh interpreter.
+        script = tmp_path / "spawn_maps.py"
+        script.write_text(textwrap.dedent(
+            """
+            import threading
+
+            import repro.parallel.executor as executor
+            from repro.parallel.executor import ProcessExecutor, WorkerError
+
+            def double(task):
+                return task * 2
+
+            def fail_on_three(task):
+                if task == 3:
+                    raise ValueError("boom three")
+                return task
+
+            def lock_on_two(task):
+                return threading.Lock() if task == 2 else task
+
+            def expect_error(fn, task_index, cause_type):
+                try:
+                    ProcessExecutor(n_workers=2).map(fn, [0, 1, 2, 3, 4])
+                except WorkerError as error:
+                    assert error.task_index == task_index, error
+                    assert error.cause_type == cause_type, error
+                else:
+                    raise AssertionError(f"{fn.__name__} did not fail")
+
+            if __name__ == "__main__":
+                executor.default_start_method = lambda: "spawn"
+                pool = ProcessExecutor(n_workers=2)
+                assert pool.map(double, range(7)) == [task * 2 for task in range(7)]
+                assert pool.last_stats.in_process is False
+                expect_error(fail_on_three, 3, "ValueError")
+                expect_error(lock_on_two, 2, "TypeError")
+            """
+        ))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, timeout=120
         )
         assert result.returncode == 0, result.stderr.decode()

@@ -115,6 +115,7 @@ class TestShardedServer:
         assert stats["dropped"] == 0
         assert stats["failed"] == 0
         assert stats["answered"] == stats["forwarded"]
+        assert stats["forwarded"] == 2 * len(queries)
 
     def test_owner_only_publish_evict_and_routing_errors(
         self, tenant_artifacts, queries

@@ -287,35 +287,39 @@ def _cmd_serve(args) -> int:
         max_queue_depth=args.max_queue_depth,
         deadline_ms=args.deadline_ms,
         tenant_quota=args.tenant_quota,
-        dispatch=args.dispatch,
     )
     if args.models and args.model:
         print("pass either --model (single) or --models (fleet), not both", file=sys.stderr)
         return 2
+    models = args.models or []
+    if args.model:
+        models = [(InferenceService.DEFAULT_TENANT, args.model)]
     if args.shards > 1:
         # Shard processes rebuild their registries from saved artifacts,
         # so sharded serving needs model *paths*, not an in-process fit.
-        if not (args.models or args.model):
+        if not models:
             print(
                 "--shards > 1 needs saved artifacts: pass --model or --models",
                 file=sys.stderr,
             )
             return 2
-        return _serve_sharded(args, config)
-
-    registry = None
-    clf = None
-    if args.models:
-        registry = ModelRegistry(cache_budget_bytes=args.cache_budget_bytes)
-        for tenant, path in args.models:
-            record = registry.publish(tenant, load_classifier(path))
+        if args.cache_budget_bytes is not None:
             print(
-                f"published tenant {tenant!r} v{record.version} "
-                f"({record.table_bytes} table bytes{'' if record.bound else ', unbound'})"
+                "--cache-budget-bytes needs the in-process server; the shards "
+                "of a --shards > 1 pool build their registries without a budget",
+                file=sys.stderr,
             )
-    elif args.model:
-        clf = load_classifier(args.model)
-    else:
+            return 2
+        return _serve_sharded(models, args, config)
+
+    registry = ModelRegistry(cache_budget_bytes=args.cache_budget_bytes)
+    for tenant, path in models:
+        record = registry.publish(tenant, load_classifier(path))
+        print(
+            f"published tenant {tenant!r} v{record.version} "
+            f"({record.table_bytes} table bytes{'' if record.bound else ', unbound'})"
+        )
+    if not models:
         data = _load_dataset(args)
         print(data.describe())
         clf = LookHDClassifier(
@@ -327,22 +331,15 @@ def _cmd_serve(args) -> int:
             )
         )
         clf.fit(data.train_features, data.train_labels)
+        registry.publish(InferenceService.DEFAULT_TENANT, clf)
 
     async def _run() -> None:
         scrubber = None
         if args.scrub_interval > 0:
-            if registry is not None:
-                from repro.resilience import FleetScrubber
+            from repro.resilience import FleetScrubber
 
-                scrubber = FleetScrubber(registry)
-            else:
-                from repro.resilience import IntegrityGuard, Scrubber
-
-                scrubber = Scrubber(IntegrityGuard(clf))
-        if registry is not None:
-            service = InferenceService(registry=registry, config=config)
-        else:
-            service = InferenceService(clf, config)
+            scrubber = FleetScrubber(registry)
+        service = InferenceService(registry, config)
         server = ServingServer(
             service,
             host=args.host,
@@ -354,10 +351,10 @@ def _cmd_serve(args) -> int:
         await server.start()
         # flush: the banner must reach a supervising process (pipe-buffered
         # stdout would otherwise hold it until the buffer fills).
-        tenants = f", tenants: {', '.join(registry.tenants())}" if registry is not None else ""
         print(
             f"serving on {server.host}:{server.port} "
-            f"(one JSON request per line; Ctrl-C or SIGTERM to drain and stop{tenants})",
+            "(one JSON request per line; Ctrl-C or SIGTERM to drain and stop, "
+            f"tenants: {', '.join(registry.tenants())})",
             flush=True,
         )
         # Graceful shutdown: SIGTERM/SIGINT stop *accepting* and then drain
@@ -382,16 +379,12 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _serve_sharded(args, config) -> int:
+def _serve_sharded(models, args, config) -> int:
     """``repro serve --shards N``: acceptor + N supervised shard processes."""
     import asyncio
 
-    from repro.serving import InferenceService, ShardedServer
+    from repro.serving import ShardedServer
     from repro.serving.server import wait_for_shutdown_signal
-
-    models = list(args.models or [])
-    if args.model:
-        models = [(InferenceService.DEFAULT_TENANT, args.model)]
 
     async def _run() -> None:
         server = ShardedServer(
@@ -443,7 +436,6 @@ def _cmd_loadgen(args) -> int:
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             max_queue_depth=args.max_queue_depth,
-            dispatch=args.dispatch,
             n_tenants=args.tenants,
             scenario=args.scenario,
             tenant_quota=args.tenant_quota,
@@ -725,14 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-budget-bytes",
             type=_positive_int,
             default=None,
-            help="LRU byte budget for cached per-tenant table sets (fleet mode); "
-            "default: unlimited",
-        )
-        p.add_argument(
-            "--dispatch",
-            default="inline",
-            choices=["inline", "thread"],
-            help="run batch predict on the event loop (inline, fastest) or a worker thread",
+            help="LRU byte budget for cached per-tenant table sets "
+            "(in-process only, not with --shards > 1); default: unlimited",
         )
 
     serve = sub.add_parser(
@@ -745,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         type=_tenant_model,
         metavar="NAME=PATH",
-        help="fleet mode: serve several saved models keyed by tenant name "
-        "(requests route with a 'tenant' field; publish/list/evict ops enabled)",
+        help="serve several saved models keyed by tenant name (requests "
+        "route with a 'tenant' field; --model serves one as tenant 'default')",
     )
     add_data_args(serve)
     serve.add_argument("--dim", type=int, default=2_000)

@@ -25,9 +25,10 @@ class LinearQuantizer(Quantizer):
         low = float(flat_values.min())
         high = float(flat_values.max())
         self._low = low
-        span = high - low
-        # A constant feature collapses to a single level; keep width positive.
-        self._width = span / self.levels if span > 0 else 1.0
+        width = (high - low) / self.levels
+        # A constant feature (or a span so narrow that its bin width
+        # underflows) collapses to a single level; keep width positive.
+        self._width = width if width > 0 else 1.0
 
     def _transform(self, values: np.ndarray) -> np.ndarray:
         return np.floor((values - self._low) / self._width).astype(np.int64)

@@ -6,9 +6,10 @@ one report (``BENCH_resilience.json``, validated by
 :mod:`repro.resilience.schema` — the schema embeds the recovery gates,
 so an unhealed run fails validation rather than producing a sad number):
 
-* **serving** — a microbatched :class:`InferenceService` under concurrent
-  closed-loop traffic, with a :class:`~repro.resilience.integrity.Scrubber`
-  ticking in the idle loop.  Mid-traffic, a sign flip is injected
+* **serving** — a microbatched :class:`InferenceService` serving the
+  model as a one-tenant registry under concurrent closed-loop traffic,
+  with a :class:`~repro.resilience.integrity.Scrubber` ticking in the
+  idle loop.  Mid-traffic, a sign flip is injected
   in place into the fused score table (silent BRAM-style corruption: no
   version bump, no cache invalidation).  Recorded: detection latency
   (injection → first :class:`IntegrityError`), repair latency (injection
@@ -53,6 +54,7 @@ from repro.resilience.schema import (
     RESILIENCE_SCHEMA_VERSION,
     validate_resilience_payload,
 )
+from repro.serving.registry import ModelRegistry
 from repro.serving.service import InferenceService, MicrobatchConfig
 from repro.utils.artifact import environment, write_artifact
 from repro.utils.validation import check_positive_int
@@ -169,6 +171,16 @@ def _fit_classifier(config: ChaosConfig, data) -> LookHDClassifier:
 # -- serving scenario ----------------------------------------------------------
 
 
+def _one_tenant_service(clf: LookHDClassifier, config: ChaosConfig) -> InferenceService:
+    """A service over a registry holding ``clf`` as its one tenant."""
+    registry = ModelRegistry()
+    registry.publish(InferenceService.DEFAULT_TENANT, clf)
+    return InferenceService(
+        registry,
+        MicrobatchConfig(max_batch=config.max_batch, max_wait_ms=config.max_wait_ms),
+    )
+
+
 async def _run_serving_chaos(
     clf: LookHDClassifier, test_x: np.ndarray, config: ChaosConfig
 ) -> dict:
@@ -178,10 +190,7 @@ async def _run_serving_chaos(
         blocks_per_tick=config.scrub_blocks_per_tick,
         canary_every=config.scrub_canary_every,
     )
-    service = InferenceService(
-        clf,
-        MicrobatchConfig(max_batch=config.max_batch, max_wait_ms=config.max_wait_ms),
-    )
+    service = _one_tenant_service(clf, config)
     await service.start()
 
     outcomes = {"ok": 0, "errors": 0}
@@ -354,10 +363,7 @@ async def _timed_burst(
     config: ChaosConfig,
     scrubber: Scrubber | None,
 ) -> float:
-    service = InferenceService(
-        clf,
-        MicrobatchConfig(max_batch=config.max_batch, max_wait_ms=config.max_wait_ms),
-    )
+    service = _one_tenant_service(clf, config)
     await service.start()
     cursor = {"next": 0}
     stop_scrub = asyncio.Event()

@@ -6,21 +6,23 @@ batches — the per-query cost is a handful of table gathers, so Python call
 overhead dominates any single-sample path.  This package closes that gap:
 
 * :class:`~repro.serving.service.InferenceService` — an asyncio
-  microbatcher.  ``await service.predict(sample)`` enqueues the request; a
-  collector task coalesces the queue into batches (flushing on
-  ``max_batch`` or ``max_wait_ms``), dispatches one fused batch predict,
-  and fans the results back out per request.  Admission control bounds the
-  queue depth and rejects with a typed
+  microbatcher over a registry.  ``await service.predict(sample,
+  tenant=...)`` enqueues the request on its tenant's queue; a collector
+  task coalesces the queues into batches (flushing on ``max_batch`` or
+  ``max_wait_ms``, round-robin across tenants), runs one fused batch
+  predict inline on the event loop, and fans the results back out per
+  request.  Admission control bounds the queue depth (and optionally each
+  tenant's) and rejects with a typed
   :class:`~repro.serving.service.ServiceOverloadedError`.
 * :class:`~repro.serving.registry.ModelRegistry` — named, versioned
   model fleet with atomic zero-downtime hot-swap and an LRU table-set
-  cache under a byte budget.  Constructing the service over a registry
-  turns it multi-tenant: per-tenant queues and quotas, round-robin
-  flushing, dispatch-time model binding.
+  cache under a byte budget; the service binds each batch to its
+  tenant's current model at dispatch time.  One model is a one-tenant
+  registry, published under ``InferenceService.DEFAULT_TENANT``.
 * :class:`~repro.serving.server.ServingServer` — a newline-delimited-JSON
   TCP front end over the service (``repro serve``), with per-tenant
-  routing and ``publish``/``list``/``evict`` admin ops in fleet mode;
-  ``pipelined=True`` allows any number of in-flight requests per
+  routing and ``publish``/``list``/``evict`` admin ops for whatever it
+  serves; ``pipelined=True`` allows any number of in-flight requests per
   connection with responses matched by ``id``.
 * :class:`~repro.serving.shard.ShardedServer` — horizontal scale-out
   (``repro serve --shards N``): one acceptor routing the same protocol

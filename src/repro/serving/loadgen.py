@@ -130,7 +130,6 @@ class LoadgenConfig:
     max_batch: int = 64
     max_wait_ms: float = 2.0
     max_queue_depth: int = 1_024
-    dispatch: str = "inline"
     n_tenants: int = 1
     scenario: str = "uniform"
     tenant_quota: int | None = None
@@ -188,6 +187,12 @@ class LoadgenConfig:
                 "swap_under_load (--swap) needs the in-process service; a sharded "
                 "pool (n_shards > 1, --shards > 1) does not hot-swap under load"
             )
+        if self.cache_budget_bytes is not None and self.n_shards > 1:
+            raise ValueError(
+                "cache_budget_bytes (--cache-budget-bytes) needs the in-process "
+                "service; the shards of a sharded pool (n_shards > 1, --shards > 1) "
+                "build their registries without a budget"
+            )
 
     def microbatch(self) -> MicrobatchConfig:
         return MicrobatchConfig(
@@ -195,7 +200,6 @@ class LoadgenConfig:
             max_wait_ms=self.max_wait_ms,
             max_queue_depth=self.max_queue_depth,
             tenant_quota=self.tenant_quota,
-            dispatch=self.dispatch,
         )
 
 

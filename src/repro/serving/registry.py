@@ -3,8 +3,10 @@
 The fleet-serving shape of the problem: production traffic is many models
 — one per tenant, plus differently-compressed variants of the same model —
 while everything below this layer (:class:`FusedInferenceEngine`, the
-microbatcher, the scrubber) was built around exactly one.  The registry is
-the indirection that turns those single-model subsystems into a fleet:
+per-model scrubber) was built around exactly one.  The registry is the
+indirection that turns those single-model subsystems into a fleet, and
+the microbatcher always serves one (a single model is a one-tenant
+registry):
 
 * **Named, versioned records.**  ``publish(tenant, classifier)`` installs
   a model under a tenant name and bumps that tenant's monotonic version.

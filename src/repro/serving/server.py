@@ -11,13 +11,16 @@ A request may carry ``"deadline_ms"`` to bound how long it is allowed to
 wait for a batch slot (see ``MicrobatchConfig.deadline_ms``).  A
 ``{"op": "health"}`` request returns the service's liveness snapshot
 instead of a prediction: running state, queue depth, request accounting,
-and — when an integrity scrubber is attached — its status, including the
-last detected error and last repair.
+the registry's fleet snapshot, and — when an integrity scrubber is
+attached — its status, including the last detected error and last
+repair.
 
-Fleet protocol (service constructed over a
-:class:`~repro.serving.registry.ModelRegistry`): a predict request adds
-a tenant name, and ``"x"`` is accepted as an alias for ``"features"``
-(the compact form fleet clients use):
+Fleet protocol (every service serves a
+:class:`~repro.serving.registry.ModelRegistry`; a single model is the
+one tenant ``InferenceService.DEFAULT_TENANT``, which a request without
+a tenant name addresses): a predict request may add a tenant name, and
+``"x"`` is accepted as an alias for ``"features"`` (the compact form
+fleet clients use):
 
     → {"op": "predict", "tenant": "edge-7", "x": [0.1, 0.2, ...]}
     ← {"id": null, "tenant": "edge-7", "prediction": 3}
@@ -63,8 +66,10 @@ drains normally, the unanswerable response is accounted under
 :attr:`ServingServer.cancelled`, and the handler closes quietly — no
 stack traces for a routine hangup.
 
-Resilience wiring: pass a :class:`~repro.resilience.integrity.Scrubber`
-to co-host integrity scrubbing with serving.  The scrub loop ticks on the
+Resilience wiring: pass a scrubber (a
+:class:`~repro.resilience.integrity.FleetScrubber` over the registry, or
+a :class:`~repro.resilience.integrity.Scrubber` over one model) to
+co-host integrity scrubbing with serving.  The scrub loop ticks on the
 event loop only while the request queue is empty, so verification steals
 idle cycles instead of taxing p99 latency under load.
 """
@@ -176,8 +181,9 @@ class ServingServer:
         Bind address.  ``port=0`` binds an ephemeral port; read
         :attr:`port` after :meth:`start` (the in-process test/smoke path).
     scrubber:
-        Optional :class:`~repro.resilience.integrity.Scrubber` over the
-        served classifier.  When set, a background task ticks it every
+        Optional :class:`~repro.resilience.integrity.FleetScrubber` (or
+        :class:`~repro.resilience.integrity.Scrubber`) over the served
+        models.  When set, a background task ticks it every
         ``scrub_interval`` seconds while the service is idle, and its
         status is reported by the ``health`` op.
     scrub_interval:
@@ -290,17 +296,15 @@ class ServingServer:
         """Liveness snapshot served by the ``{"op": "health"}`` request."""
         scrub = self.scrubber.status() if self.scrubber is not None else None
         degraded = bool(scrub["degraded"]) if scrub is not None else False
-        health = {
+        return {
             "status": "degraded" if degraded else "ok",
             "running": self.service.running,
             "queue_depth": self.service.queue_depth,
             "requests": self.service.request_stats(),
             "cancelled": self.cancelled,
             "scrub": scrub,
+            "fleet": self.service.registry.describe(),
         }
-        if self.service.registry is not None:
-            health["fleet"] = self.service.registry.describe()
-        return health
 
     # -- connection handling ---------------------------------------------------
 
@@ -356,15 +360,6 @@ class ServingServer:
 
     # -- fleet admin ops -------------------------------------------------------
 
-    def _registry(self):
-        registry = self.service.registry
-        if registry is None:
-            raise ValueError(
-                "fleet ops require a registry-backed service; "
-                "start with `repro serve --models`"
-            )
-        return registry
-
     @staticmethod
     def _request_tenant(request: dict) -> str:
         tenant = request.get("tenant")
@@ -381,7 +376,7 @@ class ServingServer:
         registry's internal lock makes the final version flip atomic with
         respect to dispatch-time ``registry.get`` calls.
         """
-        registry = self._registry()
+        registry = self.service.registry
         tenant = self._request_tenant(request)
         path = request.get("path")
         if not isinstance(path, str) or not path:
@@ -439,10 +434,10 @@ class ServingServer:
             if op == "health":
                 return {"id": request_id, **self.health()}
             if op == "list":
-                return {"id": request_id, "fleet": self._registry().describe()}
+                return {"id": request_id, "fleet": self.service.registry.describe()}
             if op == "evict":
                 tenant = self._request_tenant(request)
-                released = self._registry().evict(tenant)
+                released = self.service.registry.evict(tenant)
                 return {"id": request_id, "tenant": tenant, "released": released}
             if op == "publish":
                 return {"id": request_id, **await self._publish(request)}

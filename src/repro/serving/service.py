@@ -14,10 +14,9 @@ awaiters into batches:
    until either ``max_batch`` requests are in hand or the oldest request
    has waited ``max_wait_ms`` (so light traffic still gets a bounded
    latency floor).
-3. The batch is stacked into one ``(N, n)`` array, dispatched to
-   ``classifier.predict`` (inline on the event loop by default; on a
-   worker thread with ``dispatch="thread"``), and the per-row ``int64``
-   predictions are fanned back to the futures.
+3. The batch is stacked into one ``(N, n)`` array, passed to the
+   tenant's ``classifier.predict`` inline on the event loop, and the
+   per-row ``int64`` predictions are fanned back to the futures.
 
 Because each batch row is scored independently with the same float
 summation order as a single-row call, microbatched predictions are
@@ -30,15 +29,15 @@ are already waiting, ``predict`` raises
 (and every queued latency) grow without bound.  Callers — e.g. the TCP
 front end — translate it into an explicit "overloaded" response.
 
-Fleet mode: constructed over a
-:class:`~repro.serving.registry.ModelRegistry` instead of one
-classifier, the service routes each request by ``tenant`` name into a
-per-tenant FIFO, flushes round-robin across ready tenants (one hot
-tenant cannot starve the rest), enforces an optional per-tenant
-admission quota (:class:`TenantOverloadedError`) under the global bound,
-and binds each batch to its tenant's *current* model version at dispatch
-time — the hot-swap contract.  Single-model mode is the degenerate
-one-tenant case of the same machinery.
+The service serves a :class:`~repro.serving.registry.ModelRegistry`:
+it routes each request by ``tenant`` name into a per-tenant FIFO,
+flushes round-robin across ready tenants (one hot tenant cannot starve
+the rest), enforces an optional per-tenant admission quota
+(:class:`TenantOverloadedError`) under the global bound, and binds each
+batch to its tenant's *current* model version at dispatch time — the
+hot-swap contract.  One model is a one-tenant registry, published under
+:attr:`InferenceService.DEFAULT_TENANT`, which a request without a
+tenant name addresses.
 
 Telemetry (through the process registry, off by default): queue-wait and
 end-to-end latency histograms, batch-size histogram, flush-reason
@@ -179,18 +178,13 @@ class MicrobatchConfig:
         *for one tenant* raise :class:`TenantOverloadedError` even while
         the global queue has room, so a single hot tenant cannot occupy
         every slot and starve the rest of the fleet.  ``None`` (default)
-        disables the quota — single-model deployments need only the
+        disables the quota — a one-tenant registry needs only the
         global bound.
-    dispatch:
-        Where the batched ``predict`` runs.  ``"inline"`` (default) calls
-        it synchronously on the event loop: a fused batch costs a few
-        hundred microseconds, the executor round-trip alone costs ~500 µs
-        of wake latency per batch, and NumPy holds the GIL for most of
-        the call anyway — so inline is both simpler and ~30% faster
-        end-to-end.  ``"thread"`` uses ``run_in_executor`` so the loop
-        keeps admitting (and answering other I/O) during predict; prefer
-        it when the service shares its loop with latency-sensitive
-        non-inference traffic or the model's batch latency is large.
+
+    Every batch runs inline on the event loop: a fused batch costs a few
+    hundred microseconds, an executor round trip alone costs ~500 µs of
+    wake latency per batch, and NumPy holds the GIL for most of the call
+    anyway.
     """
 
     max_batch: int = 64
@@ -198,7 +192,6 @@ class MicrobatchConfig:
     max_queue_depth: int = 1_024
     deadline_ms: float | None = None
     tenant_quota: int | None = None
-    dispatch: str = "inline"
 
     def __post_init__(self):
         check_positive_int(self.max_batch, "max_batch")
@@ -218,10 +211,6 @@ class MicrobatchConfig:
             raise ValueError(
                 f"max_queue_depth ({self.max_queue_depth}) must be >= "
                 f"max_batch ({self.max_batch})"
-            )
-        if self.dispatch not in ("inline", "thread"):
-            raise ValueError(
-                f"dispatch must be 'inline' or 'thread', got {self.dispatch!r}"
             )
 
 
@@ -246,77 +235,41 @@ class _Request:
 
 
 class InferenceService:
-    """Microbatching façade over a fitted classifier.
+    """Microbatching façade over a model registry.
 
     Parameters
     ----------
-    classifier:
-        A fitted model exposing ``predict`` with the library's batch
-        contract (``(N, n)`` float batch → ``(N,)`` int64 predictions):
-        :class:`~repro.lookhd.classifier.LookHDClassifier` or
-        :class:`~repro.lookhd.online.OnlineLookHD`.  Graceful degradation
-        is inherited from the classifier: when the fused score table
-        exceeds its budget the same ``predict`` call serves the exact
-        hypervector-domain path (one :class:`FusedFallbackWarning`, a
-        queryable ``fallback_reason``) and the service keeps batching.
-    config:
-        Batching/admission knobs; defaults are
-        :class:`MicrobatchConfig`'s.
-    n_features:
-        Expected feature width per request.  Defaults to the classifier's
-        fitted encoder width; required only for models without an
-        ``encoder`` attribute.
     registry:
-        Fleet mode: a :class:`~repro.serving.registry.ModelRegistry`
-        instead of a single ``classifier`` (pass exactly one of the two).
-        Requests then carry a ``tenant`` name; the service keeps one FIFO
-        queue per tenant, flushes **round-robin across ready tenants** so
-        a hot tenant cannot starve the rest, and resolves each batch's
-        model *at dispatch time* through ``registry.get(tenant)`` — so a
+        The :class:`~repro.serving.registry.ModelRegistry` to serve.
+        Requests carry a ``tenant`` name (default
+        :attr:`DEFAULT_TENANT`); the service keeps one FIFO queue per
+        tenant, flushes **round-robin across ready tenants** so a hot
+        tenant cannot starve the rest, and resolves each batch's model
+        *at dispatch time* through ``registry.get(tenant)`` — so a
         hot-swap published mid-flight takes effect at the next batch
         boundary while already-collected batches finish on the version
         they resolved.  Per-request width validation uses the tenant's
-        registered width (tenants may differ).
+        registered width (tenants may differ).  Graceful degradation is
+        inherited from each classifier: when a fused score table exceeds
+        its budget the same ``predict`` call serves the exact
+        hypervector-domain path and the service keeps batching.
+    config:
+        Batching/admission knobs; defaults are
+        :class:`MicrobatchConfig`'s.
 
     Lifecycle: ``await start()`` → ``await predict(...)`` (any number of
     concurrent awaiters) → ``await stop()`` (drains the queue, completing
     every admitted request).  Also usable as an async context manager.
     """
 
-    #: Queue key used for all requests in single-model mode.
+    #: Tenant a request without a tenant name addresses; a single served
+    #: model is published under it.
     DEFAULT_TENANT = "default"
 
-    def __init__(
-        self,
-        classifier=None,
-        config: MicrobatchConfig | None = None,
-        n_features: int | None = None,
-        registry=None,
-    ):
-        if (classifier is None) == (registry is None):
-            raise ValueError(
-                "pass exactly one of classifier (single-model mode) or "
-                "registry (fleet mode)"
-            )
-        self.classifier = classifier
+    def __init__(self, registry, config: MicrobatchConfig | None = None):
         self.registry = registry
         self.config = config if config is not None else MicrobatchConfig()
-        if registry is not None:
-            # Fleet mode: width is per tenant (from its registry record).
-            self.n_features = None
-        else:
-            encoder = getattr(classifier, "encoder", None)
-            if n_features is not None:
-                self.n_features = check_positive_int(n_features, "n_features")
-            elif encoder is not None:
-                self.n_features = int(encoder.n_features)
-            else:
-                raise ValueError(
-                    "classifier exposes no fitted encoder; pass n_features explicitly"
-                )
         # One FIFO per tenant plus a round-robin ring of tenant names.
-        # Single-model mode is the one-tenant special case (DEFAULT_TENANT),
-        # so both modes run the identical collector.
         self._queues: dict[str, deque[_Request]] = {}
         self._rr: deque[str] = deque()
         self._total_queued = 0
@@ -426,19 +379,12 @@ class InferenceService:
     def _resolve_tenant(self, tenant: str | None) -> tuple[str, int]:
         """Admission-time routing: queue key + expected feature width.
 
-        Fleet mode resolves the tenant's *current* registry record for
-        width only — the model binding itself is deferred to dispatch
-        (see :meth:`_predict_batch`), so a hot-swap between admission and
+        Resolves the tenant's *current* registry record for width only —
+        the model binding itself is deferred to dispatch (see
+        :meth:`_predict_batch`), so a hot-swap between admission and
         flush serves the new version.  Unknown tenants raise the
         registry's typed error here, before anything is queued.
         """
-        if self.registry is None:
-            if tenant is not None and tenant != self.DEFAULT_TENANT:
-                raise ValueError(
-                    f"single-model service has no tenant {tenant!r}; "
-                    "construct with a ModelRegistry for fleet serving"
-                )
-            return self.DEFAULT_TENANT, self.n_features
         if tenant is None:
             tenant = self.DEFAULT_TENANT
         if not isinstance(tenant, str):
@@ -501,9 +447,9 @@ class InferenceService:
         the batch holding it has not flushed by then, the await fails
         with a typed
         :class:`~repro.resilience.retry.DeadlineExceededError` and the
-        model never runs for it.  ``tenant`` routes the request in fleet
-        mode (see the ``registry`` constructor parameter); single-model
-        services accept only the default tenant.
+        model never runs for it.  ``tenant`` routes the request (see the
+        ``registry`` constructor parameter); ``None`` addresses
+        :attr:`DEFAULT_TENANT`.
 
         Raises ``ValueError`` on malformed input (wrong shape/width,
         NaN/inf), :class:`ServiceOverloadedError` /
@@ -530,12 +476,6 @@ class InferenceService:
         request = _Request(row, self._loop.create_future(), now, deadline_at)
         self._admit(tenant, request)
         return await request.future
-
-    def _resolve_classifier(self, tenant: str):
-        """Current model for a tenant (dispatch-time binding in fleet mode)."""
-        if self.registry is None:
-            return self.classifier
-        return self.registry.get(tenant).classifier
 
     async def partial_fit(
         self,
@@ -566,7 +506,7 @@ class InferenceService:
         if not self._running:
             raise ServiceClosedError("service is not running; call start() first")
         tenant, n_features = self._resolve_tenant(tenant)
-        classifier = self._resolve_classifier(tenant)
+        classifier = self.registry.get(tenant).classifier
         if not callable(getattr(classifier, "partial_fit", None)):
             raise UpdateNotSupportedError(tenant, type(classifier).__name__)
         batch = check_finite(check_2d(features, "features"), "features")
@@ -668,17 +608,12 @@ class InferenceService:
             await self._dispatch(batch, reason, tenant)
 
     def _predict_batch(self, features: np.ndarray, tenant: str) -> np.ndarray:
-        # Dispatch-time binding: fleet mode resolves the tenant's *current*
-        # record here — inside the executor for dispatch="thread", so a
-        # lazy table rebuild after LRU eviction also runs off the event
-        # loop.  A batch that resolved the old record before a hot-swap
+        # Dispatch-time binding: resolve the tenant's *current* record
+        # here.  A batch that resolved the old record before a hot-swap
         # finishes on it; the next batch picks up the new version.  This is
         # the registry-level twin of FusedInferenceEngine's version-counter
         # rebuild.
-        if self.registry is None:
-            classifier = self.classifier
-        else:
-            classifier = self.registry.get(tenant).classifier
+        classifier = self.registry.get(tenant).classifier
         with telemetry.timer("serving.batch.predict_seconds"):
             predictions = np.atleast_1d(classifier.predict(features))
         return predictions.astype(np.int64, copy=False)
@@ -688,7 +623,7 @@ class InferenceService:
         # admission and flush applies the update to the *current* model.
         # The swapped-in model is re-checked for partial_fit here because
         # the admission-time capability check bound the old record.
-        classifier = self._resolve_classifier(tenant)
+        classifier = self.registry.get(tenant).classifier
         update = getattr(classifier, "partial_fit", None)
         if not callable(update):
             raise UpdateNotSupportedError(tenant, type(classifier).__name__)
@@ -701,12 +636,7 @@ class InferenceService:
         self.flush_reasons[FLUSH_UPDATE] = self.flush_reasons.get(FLUSH_UPDATE, 0) + 1
         telemetry.count("serving.batch.flushes", reason=FLUSH_UPDATE)
         try:
-            if self.config.dispatch == "inline":
-                applied = self._update_model(request.features, request.labels, tenant)
-            else:
-                applied = await asyncio.get_running_loop().run_in_executor(
-                    None, self._update_model, request.features, request.labels, tenant
-                )
+            applied = self._update_model(request.features, request.labels, tenant)
         except Exception as error:  # noqa: BLE001 — forwarded to the awaiter
             self.failed += 1
             stats["failed"] += 1
@@ -807,12 +737,7 @@ class InferenceService:
             if instrumented:
                 enqueued_at = enqueued_at[finite_rows]
         try:
-            if self.config.dispatch == "inline":
-                predictions = self._predict_batch(features, tenant)
-            else:
-                predictions = await asyncio.get_running_loop().run_in_executor(
-                    None, self._predict_batch, features, tenant
-                )
+            predictions = self._predict_batch(features, tenant)
         except Exception as error:  # noqa: BLE001 — forwarded per request
             self.failed += len(batch)
             stats["failed"] += len(batch)
@@ -859,9 +784,8 @@ class InferenceService:
             - self.expired,
             "batches": self.batches,
             "peak_queue_depth": self.peak_queue_depth,
-            # Per-tenant request balance (single-model mode reports its one
-            # implicit tenant) — the fleet bench's per-tenant zero-dropped
-            # gate reads this.
+            # Per-tenant request balance — the fleet bench's per-tenant
+            # zero-dropped gate reads this.
             "tenants": {
                 tenant: {
                     **stats,

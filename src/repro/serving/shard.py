@@ -604,6 +604,11 @@ class ShardedServer:
                 if link.writer is not None:
                     link.writer.close()
                     link.writer = None
+                # A dropped link can leave its shard alive; kill it so its
+                # replacement is the slot's only process.  Its sentinel
+                # reader still reaps it, and its stale tag ignores the exit.
+                if link.process.is_alive():
+                    link.process.kill()
                 try:
                     self._spawn_shard(link)
                     ports = await self._await_ready({link.index})

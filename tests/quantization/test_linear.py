@@ -29,8 +29,13 @@ class TestLinearQuantizer:
         assert q.transform(np.array([5.0]))[0] == 3
 
     def test_constant_feature_collapses_to_one_level(self):
-        q = LinearQuantizer(4).fit(np.full(10, 3.0))
-        assert np.all(q.transform(np.full(5, 3.0)) == 0)
+        # The second span is one subnormal wide: at 16 levels its bin
+        # width underflows to zero unless the quantizer guards the width.
+        for levels, values in ((4, np.full(10, 3.0)), (16, np.array([0.0, 5e-324]))):
+            with np.errstate(all="raise"):
+                q = LinearQuantizer(levels).fit(values)
+                assert np.all(q.transform(values) == 0)
+                assert np.all(np.diff(q.boundaries) > 0)
 
     def test_transform_before_fit_raises(self):
         with pytest.raises(RuntimeError):

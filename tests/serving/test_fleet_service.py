@@ -26,6 +26,7 @@ from repro.serving import (
     TenantOverloadedError,
     UnknownTenantError,
 )
+from tests.serving.helpers import one_tenant
 
 
 def run(coro):
@@ -72,15 +73,6 @@ class _GatedClassifier:
         return self.inner.predict(batch)
 
 
-def test_requires_exactly_one_of_classifier_or_registry(tenant_models, registry):
-    with pytest.raises(ValueError, match="exactly one"):
-        InferenceService()
-    with pytest.raises(ValueError, match="exactly one"):
-        InferenceService(tenant_models["alpha"], registry=registry)
-    service = InferenceService(registry=registry)
-    assert service.n_features is None  # width is per tenant in fleet mode
-
-
 def test_routes_each_request_to_its_tenants_model(tenant_models, registry, queries):
     rows = queries[:12]
     expected = {t: clf.predict(rows) for t, clf in tenant_models.items()}
@@ -119,8 +111,8 @@ def test_unknown_tenant_rejected_before_queueing(registry, queries):
 
 def test_single_model_service_rejects_tenants(tenant_models, queries):
     async def drive():
-        async with InferenceService(tenant_models["alpha"]) as service:
-            with pytest.raises(ValueError, match="no tenant"):
+        async with InferenceService(one_tenant(tenant_models["alpha"])) as service:
+            with pytest.raises(UnknownTenantError, match="'alpha'"):
                 await service.predict(queries[0], tenant="alpha")
             # The implicit default tenant is accepted by name.
             return await service.predict(
@@ -176,7 +168,7 @@ def test_admission_boundary_never_exceeds_queue_depth(tenant_models, queries):
 
     async def drive():
         config = MicrobatchConfig(max_batch=4, max_queue_depth=4, max_wait_ms=5.0)
-        service = InferenceService(clf, config)
+        service = InferenceService(one_tenant(clf), config)
         await service.start()
         # 32 submissions in the same tick: exactly 4 slots exist.
         pending = [
@@ -240,34 +232,33 @@ def test_hot_swap_binds_at_dispatch_time(small_dataset, registry, queries):
     registry.publish("alpha", gated, n_features=rows.shape[1])
     replacement = _fit(small_dataset, 3)  # bit-identical geometry, seed 3
 
+    version_before = registry.record("alpha").version
+
+    def publish_during_first_batch():
+        # The first batch runs inline and holds the event loop inside the
+        # old model; the second batch is already queued behind it.  The
+        # flip must not touch the in-flight batch, and the queued batch
+        # must resolve the new record at dispatch time.
+        assert gated.started.wait(timeout=10.0), "first batch never started"
+        registry.publish("alpha", replacement)
+        gated.release.set()
+
     async def drive():
-        config = MicrobatchConfig(max_batch=2, max_wait_ms=5.0, dispatch="thread")
+        config = MicrobatchConfig(max_batch=2, max_wait_ms=5.0)
         service = InferenceService(registry=registry, config=config)
         await service.start()
+        publisher = threading.Thread(target=publish_during_first_batch)
+        publisher.start()
         pending = [
             asyncio.ensure_future(service.predict(rows[i], tenant="alpha"))
-            for i in range(2)
+            for i in range(4)
         ]
-        while not gated.started.is_set():
-            await asyncio.sleep(0.001)
-        # First batch is inside the (held-open) old model.  Queue two more
-        # requests, then publish the replacement: the flip must not touch
-        # the in-flight batch, and the queued batch must resolve the new
-        # record at dispatch time.
-        pending += [
-            asyncio.ensure_future(service.predict(rows[i], tenant="alpha"))
-            for i in range(2, 4)
-        ]
-        version_before = registry.record("alpha").version
-        await asyncio.get_running_loop().run_in_executor(
-            None, registry.publish, "alpha", replacement
-        )
-        gated.release.set()
         predictions = await asyncio.gather(*pending)
         await service.stop()
-        return predictions, version_before, service.request_stats()
+        publisher.join()
+        return predictions, service.request_stats()
 
-    predictions, version_before, stats = run(drive())
+    predictions, stats = run(drive())
     assert registry.record("alpha").version == version_before + 1
     assert gated.calls == 1  # only the in-flight batch ran on the old model
     np.testing.assert_array_equal(np.asarray(predictions, dtype=np.int64), expected)
@@ -319,7 +310,7 @@ class TestOnlineSnapshotStaleness:
 
         async def drive():
             config = MicrobatchConfig(max_batch=8, max_wait_ms=20.0)
-            async with InferenceService(FusedOnline(), config) as service:
+            async with InferenceService(one_tenant(FusedOnline()), config) as service:
                 before = await asyncio.gather(
                     *(service.predict(row) for row in rows)
                 )

@@ -72,8 +72,6 @@ def test_loadgen_config_validation():
         LoadgenConfig(n_requests=0)
     with pytest.raises(ValueError, match="concurrency"):
         LoadgenConfig(concurrency=-1)
-    with pytest.raises(ValueError, match="dispatch"):
-        LoadgenConfig(dispatch="fork").microbatch()
 
 
 @pytest.mark.parametrize(
@@ -383,6 +381,8 @@ def test_open_loop_config_validation():
         LoadgenConfig(mode="open", rates=(100.0,), kill_shard_under_load=True)
     with pytest.raises(ValueError, match="swap_under_load"):
         LoadgenConfig(mode="open", rates=(100.0,), n_shards=2, swap_under_load=True)
+    with pytest.raises(ValueError, match="cache_budget_bytes"):
+        LoadgenConfig(mode="open", rates=(100.0,), n_shards=2, cache_budget_bytes=1000)
 
 
 @pytest.mark.parametrize("n_shards", [1, 2])

@@ -25,6 +25,7 @@ from repro.serving import (
     ServingServer,
     UpdateNotSupportedError,
 )
+from tests.serving.helpers import one_tenant
 
 
 def run(coro):
@@ -58,7 +59,7 @@ class TestServicePartialFit:
         seen_before = online.samples_seen
 
         async def drive():
-            async with InferenceService(online) as service:
+            async with InferenceService(one_tenant(online)) as service:
                 return await service.partial_fit(
                     small_dataset.train_features[second_half],
                     small_dataset.train_labels[second_half],
@@ -71,7 +72,7 @@ class TestServicePartialFit:
     def test_update_flushes_alone_and_is_counted(self, online, queries):
         async def drive():
             config = MicrobatchConfig(max_batch=16, max_wait_ms=20.0)
-            async with InferenceService(online, config) as service:
+            async with InferenceService(one_tenant(online), config) as service:
                 predicts = [
                     asyncio.ensure_future(service.predict(row))
                     for row in queries[:8]
@@ -98,7 +99,7 @@ class TestServicePartialFit:
 
         async def drive():
             config = MicrobatchConfig(max_batch=1, max_wait_ms=5.0)
-            async with InferenceService(fresh, config) as service:
+            async with InferenceService(one_tenant(fresh), config) as service:
                 before = asyncio.ensure_future(service.predict(queries[0]))
                 update = asyncio.ensure_future(
                     service.partial_fit(
@@ -117,7 +118,7 @@ class TestServicePartialFit:
 
     def test_unsupported_model_fails_fast(self, fitted_lookhd, queries):
         async def drive():
-            async with InferenceService(fitted_lookhd) as service:
+            async with InferenceService(one_tenant(fitted_lookhd)) as service:
                 with pytest.raises(UpdateNotSupportedError, match="LookHDClassifier"):
                     await service.partial_fit(
                         queries[:2], np.zeros(2, dtype=np.int64)
@@ -131,7 +132,7 @@ class TestServicePartialFit:
 
     def test_eager_validation_rejects_bad_payloads(self, online, queries):
         async def drive():
-            async with InferenceService(online) as service:
+            async with InferenceService(one_tenant(online)) as service:
                 with pytest.raises(ValueError, match="non-finite"):
                     poisoned = queries[:2].copy()
                     poisoned[0, 0] = np.nan
@@ -177,7 +178,7 @@ class TestServicePartialFit:
     def test_drain_resolves_pending_update(self, small_dataset, online):
         async def drive():
             config = MicrobatchConfig(max_batch=64, max_wait_ms=10_000.0)
-            service = InferenceService(online, config)
+            service = InferenceService(one_tenant(online), config)
             await service.start()
             pending = asyncio.ensure_future(
                 service.partial_fit(
@@ -208,7 +209,7 @@ class TestServerPartialFit:
     def _serve(self, classifier, payload, allow_partial_fit=True):
         async def drive():
             service = InferenceService(
-                classifier, MicrobatchConfig(max_batch=8, max_wait_ms=5.0)
+                one_tenant(classifier), MicrobatchConfig(max_batch=8, max_wait_ms=5.0)
             )
             async with ServingServer(
                 service, port=0, allow_partial_fit=allow_partial_fit

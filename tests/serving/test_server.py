@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.serving import InferenceService, MicrobatchConfig, ServingServer
+from tests.serving.helpers import one_tenant
 
 
 async def _request(reader, writer, payload) -> dict:
@@ -23,7 +24,7 @@ def test_server_round_trip_matches_predict(fitted_lookhd, small_dataset):
 
     async def drive():
         service = InferenceService(
-            fitted_lookhd, MicrobatchConfig(max_batch=4, max_wait_ms=5.0)
+            one_tenant(fitted_lookhd), MicrobatchConfig(max_batch=4, max_wait_ms=5.0)
         )
         async with ServingServer(service, port=0) as server:
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
@@ -49,7 +50,7 @@ def test_server_error_responses_keep_connection_open(fitted_lookhd, small_datase
 
     async def drive():
         service = InferenceService(
-            fitted_lookhd, MicrobatchConfig(max_batch=4, max_wait_ms=5.0)
+            one_tenant(fitted_lookhd), MicrobatchConfig(max_batch=4, max_wait_ms=5.0)
         )
         async with ServingServer(service, port=0) as server:
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
@@ -86,7 +87,7 @@ def test_server_reports_closed_service(fitted_lookhd, small_dataset):
     query = np.asarray(small_dataset.test_features, dtype=np.float64)[0]
 
     async def drive():
-        service = InferenceService(fitted_lookhd)
+        service = InferenceService(one_tenant(fitted_lookhd))
         server = ServingServer(service, port=0)
         await server.start()
         port = server.port
@@ -107,7 +108,7 @@ def test_server_reports_closed_service(fitted_lookhd, small_dataset):
 
 
 def test_port_property_requires_start(fitted_lookhd):
-    server = ServingServer(InferenceService(fitted_lookhd))
+    server = ServingServer(InferenceService(one_tenant(fitted_lookhd)))
     with pytest.raises(RuntimeError, match="not started"):
         server.port
 
@@ -217,7 +218,7 @@ class TestFleetProtocol:
     def test_admin_ops_require_registry(self, fitted_lookhd):
         async def drive():
             service = InferenceService(
-                fitted_lookhd, MicrobatchConfig(max_wait_ms=5.0)
+                one_tenant(fitted_lookhd), MicrobatchConfig(max_wait_ms=5.0)
             )
             async with ServingServer(service, port=0) as server:
                 reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
@@ -228,7 +229,7 @@ class TestFleetProtocol:
             return response, unknown_op
 
         response, unknown_op = asyncio.run(drive())
-        assert response["error"] == "invalid" and "--models" in response["detail"]
+        assert list(response["fleet"]["tenants"]) == [InferenceService.DEFAULT_TENANT]
         assert unknown_op["error"] == "invalid" and "dance" in unknown_op["detail"]
 
 

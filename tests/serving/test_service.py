@@ -22,6 +22,7 @@ from repro.serving import (
     ServiceOverloadedError,
     ServingError,
 )
+from tests.serving.helpers import one_tenant
 
 
 def run(coro):
@@ -40,28 +41,14 @@ def test_config_validation():
         MicrobatchConfig(max_wait_ms=0.0)
     with pytest.raises(ValueError, match="max_queue_depth"):
         MicrobatchConfig(max_batch=64, max_queue_depth=32)
-    with pytest.raises(ValueError, match="dispatch"):
-        MicrobatchConfig(dispatch="process")
 
 
-def test_requires_encoder_or_explicit_width():
-    class Bare:
-        def predict(self, batch):  # pragma: no cover - never dispatched
-            return np.zeros(batch.shape[0], dtype=np.int64)
-
-    with pytest.raises(ValueError, match="n_features"):
-        InferenceService(Bare())
-    service = InferenceService(Bare(), n_features=12)
-    assert service.n_features == 12
-
-
-@pytest.mark.parametrize("dispatch", ["inline", "thread"])
-def test_batched_predictions_bit_identical_to_single(fitted_lookhd, queries, dispatch):
+def test_batched_predictions_bit_identical_to_single(fitted_lookhd, queries):
     expected = fitted_lookhd.predict(queries)
 
     async def drive():
-        config = MicrobatchConfig(max_batch=16, max_wait_ms=50.0, dispatch=dispatch)
-        async with InferenceService(fitted_lookhd, config) as service:
+        config = MicrobatchConfig(max_batch=16, max_wait_ms=50.0)
+        async with InferenceService(one_tenant(fitted_lookhd), config) as service:
             return await asyncio.gather(
                 *(service.predict(row) for row in queries)
             )
@@ -74,7 +61,7 @@ def test_batched_predictions_bit_identical_to_single(fitted_lookhd, queries, dis
 def test_coalesces_concurrent_requests_into_batches(fitted_lookhd, queries):
     async def drive():
         config = MicrobatchConfig(max_batch=8, max_wait_ms=200.0)
-        async with InferenceService(fitted_lookhd, config) as service:
+        async with InferenceService(one_tenant(fitted_lookhd), config) as service:
             await asyncio.gather(*(service.predict(row) for row in queries[:32]))
             return service.request_stats(), dict(service.flush_reasons)
 
@@ -90,7 +77,7 @@ def test_coalesces_concurrent_requests_into_batches(fitted_lookhd, queries):
 def test_max_wait_flushes_partial_batch(fitted_lookhd, queries):
     async def drive():
         config = MicrobatchConfig(max_batch=64, max_wait_ms=5.0)
-        async with InferenceService(fitted_lookhd, config) as service:
+        async with InferenceService(one_tenant(fitted_lookhd), config) as service:
             prediction = await service.predict(queries[0])
             return prediction, dict(service.flush_reasons)
 
@@ -102,7 +89,7 @@ def test_max_wait_flushes_partial_batch(fitted_lookhd, queries):
 def test_stop_drains_admitted_requests(fitted_lookhd, queries):
     async def drive():
         config = MicrobatchConfig(max_batch=64, max_wait_ms=10_000.0)
-        service = InferenceService(fitted_lookhd, config)
+        service = InferenceService(one_tenant(fitted_lookhd), config)
         await service.start()
         # Park requests without awaiting them, then stop: drain must answer
         # every one (flush reason "drain"), long before the 10 s deadline.
@@ -124,7 +111,7 @@ def test_stop_drains_admitted_requests(fitted_lookhd, queries):
 
 def test_predict_after_stop_raises_closed(fitted_lookhd, queries):
     async def drive():
-        service = InferenceService(fitted_lookhd)
+        service = InferenceService(one_tenant(fitted_lookhd))
         await service.start()
         await service.stop()
         with pytest.raises(ServiceClosedError):
@@ -136,51 +123,27 @@ def test_predict_after_stop_raises_closed(fitted_lookhd, queries):
 def test_predict_without_start_raises_closed(fitted_lookhd, queries):
     async def drive():
         with pytest.raises(ServiceClosedError):
-            await InferenceService(fitted_lookhd).predict(queries[0])
+            await InferenceService(one_tenant(fitted_lookhd)).predict(queries[0])
 
     run(drive())
 
 
-class _GatedClassifier:
-    """Blocks predict on a threading event so a test can hold a batch open."""
-
-    def __init__(self, inner):
-        import threading
-
-        self.inner = inner
-        self.started = threading.Event()
-        self.release = threading.Event()
-
-    def predict(self, batch):
-        self.started.set()
-        assert self.release.wait(timeout=10.0), "test never released the batch"
-        return self.inner.predict(batch)
-
-
 def test_admission_control_rejects_beyond_queue_depth(fitted_lookhd, queries):
     async def drive():
-        gated = _GatedClassifier(fitted_lookhd)
-        config = MicrobatchConfig(
-            max_batch=2, max_queue_depth=2, max_wait_ms=5.0, dispatch="thread"
-        )
-        service = InferenceService(gated, config, n_features=queries.shape[1])
+        config = MicrobatchConfig(max_batch=2, max_queue_depth=2, max_wait_ms=5.0)
+        service = InferenceService(one_tenant(fitted_lookhd), config)
         await service.start()
         pending = [
             asyncio.ensure_future(service.predict(queries[i])) for i in range(2)
         ]
-        # Wait for the first batch to reach the (held-open) worker thread,
-        # then fill the queue back to max_queue_depth behind it.
-        while not gated.started.is_set():
-            await asyncio.sleep(0.001)
-        pending += [
-            asyncio.ensure_future(service.predict(queries[i])) for i in range(2, 4)
-        ]
-        await asyncio.sleep(0.01)
+        # One yield admits both requests; the collector, woken by the
+        # first, runs only after this coroutine yields again, so the
+        # queue is still full when the third request arrives.
+        await asyncio.sleep(0)
         assert service.queue_depth == 2
         with pytest.raises(ServiceOverloadedError) as excinfo:
-            await service.predict(queries[4])
+            await service.predict(queries[2])
         rejected_stats = service.request_stats()
-        gated.release.set()
         predictions = await asyncio.gather(*pending)
         await service.stop()
         return excinfo.value, rejected_stats, service.request_stats(), predictions
@@ -190,16 +153,16 @@ def test_admission_control_rejects_beyond_queue_depth(fitted_lookhd, queries):
     assert error.max_queue_depth == 2
     assert isinstance(error, ServingError)
     assert rejected_stats["rejected"] == 1
-    assert final_stats["completed"] == 4
+    assert final_stats["completed"] == 2
     assert final_stats["dropped"] == 0
     np.testing.assert_array_equal(
-        np.asarray(predictions), fitted_lookhd.predict(queries[:4])
+        np.asarray(predictions), fitted_lookhd.predict(queries[:2])
     )
 
 
 def test_rejects_malformed_requests_eagerly(fitted_lookhd, queries):
     async def drive():
-        async with InferenceService(fitted_lookhd) as service:
+        async with InferenceService(one_tenant(fitted_lookhd)) as service:
             with pytest.raises(ValueError, match="1-D"):
                 await service.predict(queries[:2])
             with pytest.raises(ValueError, match="features per request"):
@@ -214,7 +177,7 @@ def test_non_finite_request_raises_without_poisoning_batch(fitted_lookhd, querie
 
     async def drive():
         config = MicrobatchConfig(max_batch=8, max_wait_ms=20.0)
-        async with InferenceService(fitted_lookhd, config) as service:
+        async with InferenceService(one_tenant(fitted_lookhd), config) as service:
             futures = [
                 asyncio.ensure_future(service.predict(row)) for row in queries[:4]
             ]
@@ -242,7 +205,8 @@ def test_predict_exception_fans_out_as_serving_error(queries):
 
     async def drive():
         service = InferenceService(
-            Exploding(), MicrobatchConfig(max_wait_ms=5.0), n_features=queries.shape[1]
+            one_tenant(Exploding(), n_features=queries.shape[1]),
+            MicrobatchConfig(max_wait_ms=5.0),
         )
         async with service:
             with pytest.raises(ServingError, match="kaboom"):
@@ -261,7 +225,7 @@ def test_telemetry_records_batch_granular_metrics(fitted_lookhd, queries):
 
     with telemetry.enabled() as registry:
         service = InferenceService(
-            fitted_lookhd, MicrobatchConfig(max_batch=8, max_wait_ms=100.0)
+            one_tenant(fitted_lookhd), MicrobatchConfig(max_batch=8, max_wait_ms=100.0)
         )
         run(drive(service))
         snapshot = registry.snapshot()
@@ -284,7 +248,7 @@ def test_telemetry_records_batch_granular_metrics(fitted_lookhd, queries):
 def test_stats_stay_available_with_telemetry_disabled(fitted_lookhd, queries):
     async def drive():
         async with InferenceService(
-            fitted_lookhd, MicrobatchConfig(max_batch=4, max_wait_ms=20.0)
+            one_tenant(fitted_lookhd), MicrobatchConfig(max_batch=4, max_wait_ms=20.0)
         ) as service:
             await asyncio.gather(*(service.predict(row) for row in queries[:12]))
             return service.request_stats()

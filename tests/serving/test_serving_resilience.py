@@ -10,6 +10,7 @@ import pytest
 
 from repro.resilience import DeadlineExceededError, IntegrityGuard, Scrubber
 from repro.serving import InferenceService, MicrobatchConfig, ServingServer
+from tests.serving.helpers import one_tenant
 
 
 async def _request(reader, writer, payload) -> dict:
@@ -33,7 +34,7 @@ class TestDeadlines:
             # max_wait holds the batch long past the deadline, so expiry at
             # flush time is deterministic.
             service = InferenceService(
-                fitted_lookhd, MicrobatchConfig(max_batch=64, max_wait_ms=30.0)
+                one_tenant(fitted_lookhd), MicrobatchConfig(max_batch=64, max_wait_ms=30.0)
             )
             async with service:
                 with pytest.raises(DeadlineExceededError) as excinfo:
@@ -53,7 +54,7 @@ class TestDeadlines:
 
         async def drive():
             service = InferenceService(
-                fitted_lookhd,
+                one_tenant(fitted_lookhd),
                 MicrobatchConfig(max_batch=64, max_wait_ms=30.0, deadline_ms=0.01),
             )
             async with service:
@@ -68,7 +69,7 @@ class TestDeadlines:
 
         async def drive():
             service = InferenceService(
-                fitted_lookhd, MicrobatchConfig(max_batch=4, max_wait_ms=1.0)
+                one_tenant(fitted_lookhd), MicrobatchConfig(max_batch=4, max_wait_ms=1.0)
             )
             async with service:
                 return await service.predict(sample, deadline_ms=10_000.0)
@@ -79,7 +80,7 @@ class TestDeadlines:
         sample = np.asarray(small_dataset.test_features[0], dtype=np.float64)
 
         async def drive():
-            service = InferenceService(fitted_lookhd, MicrobatchConfig())
+            service = InferenceService(one_tenant(fitted_lookhd), MicrobatchConfig())
             async with service:
                 with pytest.raises(ValueError, match="deadline_ms"):
                     await service.predict(sample, deadline_ms=-1.0)
@@ -91,7 +92,7 @@ class TestDeadlines:
 
         async def drive():
             service = InferenceService(
-                fitted_lookhd, MicrobatchConfig(max_batch=64, max_wait_ms=30.0)
+                one_tenant(fitted_lookhd), MicrobatchConfig(max_batch=64, max_wait_ms=30.0)
             )
             async with ServingServer(service, port=0) as server:
                 reader, writer = await asyncio.open_connection(
@@ -115,7 +116,7 @@ class TestHealthProbe:
         features = list(map(float, small_dataset.test_features[0]))
 
         async def drive():
-            service = InferenceService(fitted_lookhd, MicrobatchConfig())
+            service = InferenceService(one_tenant(fitted_lookhd), MicrobatchConfig())
             async with ServingServer(service, port=0) as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
@@ -136,7 +137,7 @@ class TestHealthProbe:
         scrubber = Scrubber(IntegrityGuard(fitted_lookhd), blocks_per_tick=4)
 
         async def drive():
-            service = InferenceService(fitted_lookhd, MicrobatchConfig())
+            service = InferenceService(one_tenant(fitted_lookhd), MicrobatchConfig())
             server = ServingServer(
                 service, port=0, scrubber=scrubber, scrub_interval=0.005
             )
@@ -158,7 +159,7 @@ class TestHealthProbe:
         assert health["status"] == "ok"
 
     def test_scrub_interval_validated(self, fitted_lookhd):
-        service = InferenceService(fitted_lookhd, MicrobatchConfig())
+        service = InferenceService(one_tenant(fitted_lookhd), MicrobatchConfig())
         with pytest.raises(ValueError, match="scrub_interval"):
             ServingServer(service, scrub_interval=0.0)
 
@@ -171,7 +172,7 @@ class TestDisconnect:
 
         async def drive():
             service = InferenceService(
-                fitted_lookhd, MicrobatchConfig(max_batch=8, max_wait_ms=5.0)
+                one_tenant(fitted_lookhd), MicrobatchConfig(max_batch=8, max_wait_ms=5.0)
             )
             async with ServingServer(service, port=0) as server:
                 # Fire a request and hang up before the batch flushes.

@@ -27,6 +27,7 @@ from repro.serving import (
     ShardedServer,
     shard_for,
 )
+from tests.serving.helpers import one_tenant
 
 
 class TestShardFor:
@@ -411,6 +412,33 @@ class TestShardedServer:
         assert stats["respawns"] == 2
         assert stats["dropped"] == 0 and stats["failed"] == 0
 
+    def test_dropped_link_replaces_a_live_shard(self, tenant_artifacts):
+        # A link that drops while its shard lives on must not leave the
+        # replaced incarnation running beside its successor.
+        async def drive():
+            async with ShardedServer(
+                _models(tenant_artifacts),
+                n_shards=2,
+                config=MicrobatchConfig(max_batch=8, max_wait_ms=2.0),
+            ) as server:
+                link = server._links[1]
+                replaced = link.process
+                link.writer.transport.abort()
+                await asyncio.wait_for(
+                    _until(
+                        lambda: server.request_stats()["respawns"] == 1
+                        and link.ready.is_set()
+                    ),
+                    30,
+                )
+                successor = link.process
+            return replaced, successor
+
+        replaced, successor = asyncio.run(drive())
+        assert successor is not replaced
+        assert not replaced.is_alive()
+        assert not successor.is_alive()
+
     def test_constructor_validation(self, tenant_artifacts):
         with pytest.raises(ValueError, match="n_shards"):
             ShardedServer(_models(tenant_artifacts), n_shards=0)
@@ -430,7 +458,7 @@ class TestPipelinedServerMode:
 
         async def drive():
             service = InferenceService(
-                fitted_lookhd, MicrobatchConfig(max_batch=4, max_wait_ms=2.0)
+                one_tenant(fitted_lookhd), MicrobatchConfig(max_batch=4, max_wait_ms=2.0)
             )
             async with ServingServer(service, port=0, pipelined=True) as server:
                 reader, writer = await asyncio.open_connection(
@@ -464,7 +492,7 @@ class TestPipelinedServerMode:
 
         async def drive():
             service = InferenceService(
-                fitted_lookhd, MicrobatchConfig(max_batch=4, max_wait_ms=2.0)
+                one_tenant(fitted_lookhd), MicrobatchConfig(max_batch=4, max_wait_ms=2.0)
             )
             async with ServingServer(service, port=0, pipelined=True) as server:
                 async with await PipelinedClient.connect(

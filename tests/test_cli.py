@@ -108,17 +108,12 @@ class TestServingCommands:
         assert args.profile == "full"
         assert args.concurrency == 64
         assert args.max_batch == 64
-        assert args.dispatch == "inline"
 
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8752
         assert args.max_queue_depth == 1_024
-
-    def test_loadgen_rejects_bad_dispatch(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadgen", "--dispatch", "fork"])
 
     def test_loadgen_smoke_writes_valid_artifact(self, tmp_path, capsys):
         import json
@@ -256,6 +251,10 @@ class TestServingCommands:
             (["loadgen", "--open-loop", "--rate", "500", "--kill-shard"],
              "--shards >= 2"),
             (["serve", "--shards", "2"], "--model"),
+            (["loadgen", "--open-loop", "--rate", "500", "--shards", "2",
+              "--cache-budget-bytes", "1000"], "--cache-budget-bytes"),
+            (["serve", "--shards", "2", "--model", "m.npz",
+              "--cache-budget-bytes", "1000"], "--cache-budget-bytes"),
         ],
     )
     def test_flag_combinations_exit_2(self, argv, needle, capsys):

@@ -141,7 +141,7 @@ def _nonnegative_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
-    if value < 0:
+    if not value >= 0:  # NaN too
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
@@ -334,18 +334,11 @@ def _cmd_serve(args) -> int:
         registry.publish(InferenceService.DEFAULT_TENANT, clf)
 
     async def _run() -> None:
-        scrubber = None
-        if args.scrub_interval > 0:
-            from repro.resilience import FleetScrubber
-
-            scrubber = FleetScrubber(registry)
-        service = InferenceService(registry, config)
         server = ServingServer(
-            service,
+            InferenceService(registry, config),
             host=args.host,
             port=args.port,
-            scrubber=scrubber,
-            scrub_interval=args.scrub_interval if scrubber is not None else 0.25,
+            scrub_interval=args.scrub_interval,
             allow_partial_fit=args.partial_fit,
         )
         await server.start()

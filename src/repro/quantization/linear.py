@@ -20,18 +20,29 @@ class LinearQuantizer(Quantizer):
         super().__init__(levels)
         self._low = 0.0
         self._width = 1.0
+        self._scaled = False
 
     def _fit(self, flat_values: np.ndarray) -> None:
         low = float(flat_values.min())
         high = float(flat_values.max())
         self._low = low
-        width = (high - low) / self.levels
+        # A finite span wider than the float64 range overflows
+        # ``high - low``; only then divide before subtracting.
+        self._scaled = not np.isfinite(high - low)
+        if self._scaled:
+            width = high / self.levels - low / self.levels
+        else:
+            width = (high - low) / self.levels
         # A constant feature (or a span so narrow that its bin width
         # underflows) collapses to a single level; keep width positive.
         self._width = width if width > 0 else 1.0
 
     def _transform(self, values: np.ndarray) -> np.ndarray:
-        return np.floor((values - self._low) / self._width).astype(np.int64)
+        if self._scaled:
+            bins = values / self._width - self._low / self._width
+        else:
+            bins = (values - self._low) / self._width
+        return np.floor(bins).astype(np.int64)
 
     @property
     def boundaries(self) -> np.ndarray:

@@ -8,9 +8,12 @@ this package makes the runtime *tolerate* them:
   outlived its deadline and maps to the ``deadline`` wire error.
 - :mod:`repro.resilience.integrity` — SHA-256 shadow digests over
   authoritative model state, canary known-answer checks over derived
-  caches, and a budgeted :class:`Scrubber` that detects and auto-repairs
-  corruption (rebuild derived caches → rebuild from counters → degrade
-  to the reference path).
+  caches, and one budgeted :class:`FleetScrubber` that scrubs every
+  tenant of a model registry (a single model is a one-tenant registry)
+  and auto-repairs what it finds (rebuild derived caches → rebuild from
+  counters → degrade to the reference path).  A
+  :class:`~repro.serving.server.ServingServer` started with a positive
+  ``scrub_interval`` runs one over the registry it serves.
 - :mod:`repro.resilience.chaos` — the ``repro chaos`` benchmark:
   injects live faults mid-traffic and gates detection/repair latency,
   availability, and post-repair bit-identity via
@@ -27,7 +30,6 @@ from repro.resilience.integrity import (
     IntegrityError,
     IntegrityGuard,
     RepairReport,
-    Scrubber,
 )
 from repro.resilience.retry import DeadlineExceededError
 from repro.resilience.schema import (
@@ -44,7 +46,6 @@ __all__ = [
     "OVERHEAD_BUDGET",
     "RESILIENCE_SCHEMA_VERSION",
     "RepairReport",
-    "Scrubber",
     "chaos_config",
     "run_chaos",
     "validate_resilience_payload",

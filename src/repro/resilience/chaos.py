@@ -8,14 +8,15 @@ so an unhealed run fails validation rather than producing a sad number):
 
 * **serving** — a microbatched :class:`InferenceService` serving the
   model as a one-tenant registry under concurrent closed-loop traffic,
-  with a :class:`~repro.resilience.integrity.Scrubber` ticking in the
-  idle loop.  Mid-traffic, a sign flip is injected
-  in place into the fused score table (silent BRAM-style corruption: no
-  version bump, no cache invalidation).  Recorded: detection latency
-  (injection → first :class:`IntegrityError`), repair latency (injection
-  → completed repair), availability over the whole run, and post-repair
-  bit-identity of full test-set predictions against the pre-fault
-  snapshot — the "zero post-repair mispredictions" gate.
+  with a :class:`~repro.resilience.integrity.FleetScrubber` over that
+  registry ticking in the idle loop (and once before traffic, so its
+  guard's baseline is the clean model).  Mid-traffic, a sign flip is
+  injected in place into the fused score table (silent BRAM-style
+  corruption: no version bump, no cache invalidation).  Recorded:
+  detection latency (injection → first :class:`IntegrityError`), repair
+  latency (injection → completed repair), availability over the whole
+  run, and post-repair bit-identity of full test-set predictions against
+  the pre-fault snapshot — the "zero post-repair mispredictions" gate.
 * **training** — a sharded :class:`~repro.parallel.trainer.ParallelTrainer`
   run in which one worker kills itself (``os._exit``) before counting its
   shard.  The supervised executor must respawn it and re-run the shard so
@@ -49,7 +50,7 @@ from repro.faults.targets import inject_live_fault
 from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
 from repro.lookhd.trainer import LookHDTrainer
 from repro.parallel.trainer import ParallelTrainer
-from repro.resilience.integrity import IntegrityGuard, Scrubber
+from repro.resilience.integrity import FleetScrubber
 from repro.resilience.schema import (
     RESILIENCE_SCHEMA_VERSION,
     validate_resilience_payload,
@@ -169,98 +170,110 @@ def _fit_classifier(config: ChaosConfig, data) -> LookHDClassifier:
 
 
 # -- serving scenario ----------------------------------------------------------
+#
+# The serving and overhead scenarios drive the same one-tenant service.
 
 
-def _one_tenant_service(clf: LookHDClassifier, config: ChaosConfig) -> InferenceService:
-    """A service over a registry holding ``clf`` as its one tenant."""
+async def _drive(
+    clf: LookHDClassifier,
+    test_x: np.ndarray,
+    config: ChaosConfig,
+    n_requests: int,
+    scrub: dict | None,
+    beside=None,
+) -> dict:
+    """Serve ``n_requests`` closed-loop predicts through a one-tenant service.
+
+    ``config.concurrency`` workers cycle the rows of ``test_x`` through an
+    :class:`InferenceService` over a registry holding ``clf``.  ``scrub``
+    holds the :class:`FleetScrubber` options (``None``: no scrubber).  The
+    scrubber ticks once before traffic — a guard records its baseline at
+    its tenant's first tick, so a fault injected before that would become
+    the baseline — and then in the service's idle loop.
+    ``beside(scrubber, outcomes)`` runs next to the traffic and is awaited
+    after it.  Returns the outcome counts, the traffic's wall seconds, the
+    scrubber and ``beside``'s result.
+    """
     registry = ModelRegistry()
     registry.publish(InferenceService.DEFAULT_TENANT, clf)
-    return InferenceService(
+    service = InferenceService(
         registry,
         MicrobatchConfig(max_batch=config.max_batch, max_wait_ms=config.max_wait_ms),
     )
-
-
-async def _run_serving_chaos(
-    clf: LookHDClassifier, test_x: np.ndarray, config: ChaosConfig
-) -> dict:
-    guard = IntegrityGuard(clf, canary_features=test_x[:8], seed=config.seed)
-    scrubber = Scrubber(
-        guard,
-        blocks_per_tick=config.scrub_blocks_per_tick,
-        canary_every=config.scrub_canary_every,
-    )
-    service = _one_tenant_service(clf, config)
-    await service.start()
-
+    scrubber = FleetScrubber(registry, **scrub) if scrub is not None else None
     outcomes = {"ok": 0, "errors": 0}
-    cursor = {"next": 0}
-    traffic_done = asyncio.Event()
-    stop_scrub = asyncio.Event()
     n_test = test_x.shape[0]
+    cursor = 0
 
     async def worker() -> None:
-        while True:
-            index = cursor["next"]
-            if index >= config.n_requests:
-                return
-            cursor["next"] = index + 1
+        nonlocal cursor
+        while cursor < n_requests:
+            index = cursor
+            cursor += 1
             try:
                 await service.predict(test_x[index % n_test])
                 outcomes["ok"] += 1
             except Exception:  # noqa: BLE001 — availability counts every outcome
                 outcomes["errors"] += 1
 
-    async def scrub_loop() -> None:
-        # Same co-hosting discipline as ServingServer._scrub_loop: tick
-        # only while the request queue is empty.
-        while not stop_scrub.is_set():
-            await asyncio.sleep(_POLL_SECONDS)
-            if service.queue_depth == 0:
-                scrubber.tick()
+    loop = asyncio.get_running_loop()
+    scrub_task = monitor = None
+    await service.start()
+    try:
+        if scrubber is not None:
+            scrubber.tick()
+            scrub_task = loop.create_task(scrubber.run(service, _POLL_SECONDS))
+        if beside is not None:
+            monitor = loop.create_task(beside(scrubber, outcomes))
+        started = time.perf_counter()
+        await asyncio.gather(*(worker() for _ in range(config.concurrency)))
+        elapsed = time.perf_counter() - started
+        # Traffic may finish before the scrubber catches the fault; the
+        # monitor (and the idle scrub loop) keep running until it resolves.
+        watched = await monitor if monitor is not None else None
+    finally:
+        tasks = [task for task in (scrub_task, monitor) if task is not None]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await service.stop()
+    return {"outcomes": outcomes, "seconds": elapsed, "scrubber": scrubber, "beside": watched}
 
-    async def chaos_monkey() -> dict:
-        while service.completed < config.inject_after and not traffic_done.is_set():
+
+def _serving_scenario(
+    clf: LookHDClassifier, test_x: np.ndarray, config: ChaosConfig
+) -> dict:
+    async def chaos_monkey(scrubber, outcomes) -> dict:
+        while sum(outcomes.values()) < config.inject_after:
             await asyncio.sleep(_POLL_SECONDS)
         injection = inject_live_fault(
             clf, config.fault_target, ber=config.fault_ber, seed=config.seed
         )
         injected_at = time.perf_counter()
-        give_up_at = injected_at + config.detect_timeout_seconds
-        detection_seconds = repair_seconds = None
-        while scrubber.errors_detected == 0 and time.perf_counter() < give_up_at:
-            await asyncio.sleep(_POLL_SECONDS)
-        if scrubber.errors_detected:
-            detection_seconds = time.perf_counter() - injected_at
-        while scrubber.repairs == 0 and time.perf_counter() < give_up_at:
-            await asyncio.sleep(_POLL_SECONDS)
-        if scrubber.repairs:
-            repair_seconds = time.perf_counter() - injected_at
+
+        async def seconds_until(count: str) -> float | None:
+            while not scrubber.status()[count]:
+                if time.perf_counter() - injected_at > config.detect_timeout_seconds:
+                    return None
+                await asyncio.sleep(_POLL_SECONDS)
+            return time.perf_counter() - injected_at
+
         return {
             "injection": injection,
-            "detection_seconds": detection_seconds,
-            "repair_seconds": repair_seconds,
+            "detection_seconds": await seconds_until("errors_detected"),
+            "repair_seconds": await seconds_until("repairs"),
         }
 
-    workers = [
-        asyncio.get_running_loop().create_task(worker())
-        for _ in range(config.concurrency)
-    ]
-    scrub_task = asyncio.get_running_loop().create_task(scrub_loop())
-    monkey_task = asyncio.get_running_loop().create_task(chaos_monkey())
-    try:
-        await asyncio.gather(*workers)
-        traffic_done.set()
-        # Traffic may finish before the scrubber catches the fault; the
-        # monitor (and the idle scrub loop) keep running until it resolves
-        # or times out.
-        chaos = await monkey_task
-    finally:
-        traffic_done.set()
-        stop_scrub.set()
-        await scrub_task
-        await service.stop()
-
+    clean_predictions = np.asarray(clf.predict(test_x))
+    scrub = {
+        "blocks_per_tick": config.scrub_blocks_per_tick,
+        "canary_every": config.scrub_canary_every,
+    }
+    with telemetry.timer("resilience.chaos.serving_seconds"):
+        run = asyncio.run(
+            _drive(clf, test_x, config, config.n_requests, scrub, beside=chaos_monkey)
+        )
+    outcomes, chaos, status = run["outcomes"], run["beside"], run["scrubber"].status()
     total = outcomes["ok"] + outcomes["errors"]
     return {
         "requests": total,
@@ -275,26 +288,14 @@ async def _run_serving_chaos(
         "detection_seconds": chaos["detection_seconds"],
         "repaired": chaos["repair_seconds"] is not None,
         "repair_seconds": chaos["repair_seconds"],
-        "scrub": scrubber.status(),
+        "scrub": status,
+        "post_repair_bit_identical": bool(
+            np.array_equal(np.asarray(clf.predict(test_x)), clean_predictions)
+        ),
+        "repair_action": (
+            status["last_repair"]["action"] if status["last_repair"] is not None else None
+        ),
     }
-
-
-def _serving_scenario(
-    clf: LookHDClassifier, test_x: np.ndarray, config: ChaosConfig
-) -> dict:
-    clean_predictions = np.asarray(clf.predict(test_x))
-    with telemetry.timer("resilience.chaos.serving_seconds"):
-        result = asyncio.run(_run_serving_chaos(clf, test_x, config))
-    post_repair = np.asarray(clf.predict(test_x))
-    result["post_repair_bit_identical"] = bool(
-        np.array_equal(post_repair, clean_predictions)
-    )
-    result["repair_action"] = (
-        result["scrub"]["last_repair"]["action"]
-        if result["scrub"]["last_repair"] is not None
-        else None
-    )
-    return result
 
 
 # -- training scenario ---------------------------------------------------------
@@ -357,69 +358,18 @@ def _training_scenario(clf: LookHDClassifier, data, config: ChaosConfig) -> dict
 # -- overhead scenario ---------------------------------------------------------
 
 
-async def _timed_burst(
-    clf: LookHDClassifier,
-    test_x: np.ndarray,
-    config: ChaosConfig,
-    scrubber: Scrubber | None,
-) -> float:
-    service = _one_tenant_service(clf, config)
-    await service.start()
-    cursor = {"next": 0}
-    stop_scrub = asyncio.Event()
-    n_test = test_x.shape[0]
-
-    async def worker() -> None:
-        while True:
-            index = cursor["next"]
-            if index >= config.overhead_requests:
-                return
-            cursor["next"] = index + 1
-            await service.predict(test_x[index % n_test])
-
-    async def scrub_loop() -> None:
-        while not stop_scrub.is_set():
-            await asyncio.sleep(_POLL_SECONDS)
-            if service.queue_depth == 0:
-                scrubber.tick()
-
-    scrub_task = (
-        asyncio.get_running_loop().create_task(scrub_loop())
-        if scrubber is not None
-        else None
-    )
-    started = time.perf_counter()
-    try:
-        await asyncio.gather(
-            *(
-                asyncio.get_running_loop().create_task(worker())
-                for _ in range(config.concurrency)
-            )
-        )
-        elapsed = time.perf_counter() - started
-    finally:
-        stop_scrub.set()
-        if scrub_task is not None:
-            await scrub_task
-        await service.stop()
-    return elapsed
-
-
 def _overhead_scenario(
     clf: LookHDClassifier, test_x: np.ndarray, config: ChaosConfig
 ) -> dict:
     # A *disabled* scrubber: ticks are no-ops, so any measured slowdown is
     # the pure cost of co-hosting the machinery.  Best-of-repeats on both
     # sides cancels scheduler noise the way the perf harness does.
-    scrubber = Scrubber(IntegrityGuard(clf, canary_features=test_x[:8]), enabled=False)
-    baseline = min(
-        asyncio.run(_timed_burst(clf, test_x, config, None))
-        for _ in range(config.overhead_repeats)
-    )
-    attached = min(
-        asyncio.run(_timed_burst(clf, test_x, config, scrubber))
-        for _ in range(config.overhead_repeats)
-    )
+    def timed_burst(scrub: dict | None) -> float:
+        run = _drive(clf, test_x, config, config.overhead_requests, scrub)
+        return asyncio.run(run)["seconds"]
+
+    baseline = min(timed_burst(None) for _ in range(config.overhead_repeats))
+    attached = min(timed_burst({"enabled": False}) for _ in range(config.overhead_repeats))
     overhead = attached / baseline - 1.0
     return {
         "requests": config.overhead_requests,

@@ -49,16 +49,27 @@ since the last legitimate mutation".
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
 from repro.utils.rng import derive_rng
 
-__all__ = ["FleetScrubber", "IntegrityError", "IntegrityGuard", "RepairReport", "Scrubber"]
+__all__ = ["FleetScrubber", "IntegrityError", "IntegrityGuard", "RepairReport"]
+
+#: Digest block size.  Smaller blocks localise damage better and bound
+#: per-tick latency tighter; larger blocks sweep faster.
+_BLOCK_BYTES = 1 << 16
+
+#: Deterministic canary feature vectors per guard, synthesised from
+#: ``_CANARY_SEED`` to span the quantizer's boundary range, so every
+#: level (and therefore every lookup row family) is exercised.
+_N_CANARIES = 8
+_CANARY_SEED = 0
 
 #: Authoritative artifacts that :func:`LookHDClassifier.rebuild_from_counters`
 #: regenerates bit-identically (the compressed model and its keys are
@@ -140,17 +151,6 @@ class IntegrityGuard:
         A fitted :class:`~repro.lookhd.classifier.LookHDClassifier`.
         The guard holds accessors, not array references, so repairs that
         swap whole objects (model rebuilds) are picked up transparently.
-    block_bytes:
-        Digest block size.  Smaller blocks localise damage better and
-        bound per-tick latency tighter; larger blocks sweep faster.
-    n_canaries:
-        Number of deterministic canary feature vectors.
-    canary_features:
-        Explicit ``(n, n_features)`` canary batch; default synthesises
-        one spanning the quantizer's boundary range so every level (and
-        therefore every lookup row family) is exercised.
-    seed:
-        Seed for the synthesised canaries (deterministic per guard).
     include_derived:
         When ``False``, the guard covers authoritative state plus the
         encode canary only — no score-table digests and no score canary.
@@ -163,33 +163,16 @@ class IntegrityGuard:
         flips this per tenant as its binding state changes.
     """
 
-    def __init__(
-        self,
-        clf,
-        block_bytes: int = 1 << 16,
-        n_canaries: int = 8,
-        canary_features: np.ndarray | None = None,
-        seed: int = 0,
-        include_derived: bool = True,
-    ):
+    def __init__(self, clf, include_derived: bool = True):
         if clf.encoder is None or clf.class_model is None:
             raise RuntimeError("IntegrityGuard requires a fitted classifier")
-        if block_bytes <= 0:
-            raise ValueError(f"block_bytes must be positive, got {block_bytes}")
         self.clf = clf
         self.include_derived = bool(include_derived)
-        self.block_bytes = int(block_bytes)
         self.degraded = False
         self.blocks_verified = 0
         self.canary_checks = 0
         self._specs = self._build_specs()
-        self._canary_features = (
-            np.asarray(canary_features, dtype=np.float64)
-            if canary_features is not None
-            else self._synthesize_canaries(n_canaries, seed)
-        )
-        if self._canary_features.ndim != 2 or self._canary_features.shape[0] == 0:
-            raise ValueError("canary_features must be a non-empty 2-D batch")
+        self._canary_features = self._synthesize_canaries()
         self.resync()
 
     # -- state inventory -------------------------------------------------------
@@ -280,17 +263,17 @@ class IntegrityGuard:
             versions["compressed_model"] = self.clf.compressed_model.version
         return versions
 
-    def _synthesize_canaries(self, n_canaries: int, seed) -> np.ndarray:
-        if n_canaries <= 0:
-            raise ValueError(f"n_canaries must be positive, got {n_canaries}")
+    def _synthesize_canaries(self) -> np.ndarray:
         boundaries = np.asarray(self.clf.quantizer.boundaries, dtype=np.float64)
         if boundaries.size:
             lo, hi = float(boundaries.min()), float(boundaries.max())
         else:
             lo, hi = -1.0, 1.0
         pad = 0.5 * (hi - lo) + 1.0
-        rng = derive_rng(seed, "resilience-canaries")
-        return rng.uniform(lo - pad, hi + pad, size=(n_canaries, self.clf.encoder.layout.n_features))
+        rng = derive_rng(_CANARY_SEED, "resilience-canaries")
+        return rng.uniform(
+            lo - pad, hi + pad, size=(_N_CANARIES, self.clf.encoder.layout.n_features)
+        )
 
     # -- digest recording ------------------------------------------------------
 
@@ -304,8 +287,8 @@ class IntegrityGuard:
         array = np.asarray(value)
         flat = _flat_view(array)
         blocks = [
-            _digest_block(flat, start, start + self.block_bytes)
-            for start in range(0, max(1, flat.size), self.block_bytes)
+            _digest_block(flat, start, start + _BLOCK_BYTES)
+            for start in range(0, max(1, flat.size), _BLOCK_BYTES)
         ]
         return (str(array.dtype), array.shape, blocks)
 
@@ -424,8 +407,8 @@ class IntegrityGuard:
                     continue
             if name not in flat_cache:
                 flat_cache[name] = _flat_view(array)
-            start = block * self.block_bytes
-            actual = _digest_block(flat_cache[name], start, start + self.block_bytes)
+            start = block * _BLOCK_BYTES
+            actual = _digest_block(flat_cache[name], start, start + _BLOCK_BYTES)
             self.blocks_verified += 1
             if actual != blocks[block]:
                 errors.append(
@@ -474,7 +457,7 @@ class IntegrityGuard:
             return False
         flat = _flat_view(array)
         return all(
-            _digest_block(flat, index * self.block_bytes, (index + 1) * self.block_bytes)
+            _digest_block(flat, index * _BLOCK_BYTES, (index + 1) * _BLOCK_BYTES)
             == digest
             for index, digest in enumerate(blocks)
         )
@@ -587,68 +570,30 @@ class IntegrityGuard:
         )
 
 
-class Scrubber:
-    """Budgeted incremental scrubbing over an :class:`IntegrityGuard`.
+class _TenantScrub:
+    """One tenant's scrub state: the guard over the registry record it
+    covers, the tenant's own tick count (its canary cadence), and what its
+    ticks found and repaired."""
 
-    Designed to be driven from wherever idle time lives — the serving
-    idle loop, a timer thread, a maintenance cron — via :meth:`tick`,
-    which verifies ``blocks_per_tick`` blocks (plus the canaries every
-    ``canary_every`` ticks), repairs what it finds when ``auto_repair``
-    is on, and **never raises**: a scrub failure must not take down the
-    service it protects.
+    __slots__ = (
+        "record", "guard", "ticks", "errors_detected", "repairs", "last_error", "last_repair"
+    )
 
-    A disabled scrubber's :meth:`tick` is a no-op returning ``[]`` —
-    that is the configuration the <2% serving-overhead gate measures.
-    """
-
-    def __init__(
-        self,
-        guard: IntegrityGuard,
-        blocks_per_tick: int = 8,
-        canary_every: int = 8,
-        auto_repair: bool = True,
-        enabled: bool = True,
-    ):
-        if blocks_per_tick <= 0:
-            raise ValueError(f"blocks_per_tick must be positive, got {blocks_per_tick}")
-        if canary_every <= 0:
-            raise ValueError(f"canary_every must be positive, got {canary_every}")
-        self.guard = guard
-        self.blocks_per_tick = int(blocks_per_tick)
-        self.canary_every = int(canary_every)
-        self.auto_repair = bool(auto_repair)
-        self.enabled = bool(enabled)
+    def __init__(self, record):
+        self.record = record
+        self.guard = IntegrityGuard(record.classifier, include_derived=record.bound)
         self.ticks = 0
         self.errors_detected = 0
         self.repairs = 0
         self.last_error: str | None = None
         self.last_repair: dict | None = None
 
-    def tick(self) -> list[IntegrityError]:
-        """One scrub increment; returns whatever corruption it detected."""
-        if not self.enabled:
-            return []
-        self.ticks += 1
-        with telemetry.timer("resilience.scrub.tick_seconds"):
-            try:
-                errors = self.guard.verify_next_blocks(self.blocks_per_tick)
-                if self.ticks % self.canary_every == 0:
-                    errors += self.guard.check_canaries()
-                self._handle(errors)
-            except Exception as unexpected:  # pragma: no cover - defensive
-                # The scrubber guards the service; it must not crash it.
-                self.last_error = f"scrub tick failed: {unexpected!r}"
-                telemetry.count("resilience.scrub.tick_failures")
-                return []
-        return errors
-
-    def _handle(self, errors: list[IntegrityError]) -> None:
+    def handle(self, errors: list[IntegrityError]) -> None:
+        """Record what a tick found and climb the repair ladder for it."""
         if not errors:
             return
         self.errors_detected += len(errors)
         self.last_error = str(errors[0])
-        if not self.auto_repair:
-            return
         repaired_artifacts: set[str] = set()
         for error in errors:
             if error.artifact in repaired_artifacts:
@@ -663,10 +608,10 @@ class Scrubber:
                 break
 
     def status(self) -> dict:
-        """Snapshot for health probes and the chaos bench."""
         return {
-            "enabled": self.enabled,
-            "auto_repair": self.auto_repair,
+            "version": self.record.version,
+            "bound": self.record.bound,
+            "derived_guarded": self.guard.include_derived,
             "ticks": self.ticks,
             "blocks_verified": self.guard.blocks_verified,
             "canary_checks": self.guard.canary_checks,
@@ -679,14 +624,18 @@ class Scrubber:
 
 
 class FleetScrubber:
-    """Scrubbing across every model in a :class:`~repro.serving.registry.ModelRegistry`.
+    """Budgeted incremental scrubbing of every model in a
+    :class:`~repro.serving.registry.ModelRegistry` (a single model is a
+    one-tenant registry).
 
     One :meth:`tick` scrubs one tenant (round-robin over the registry's
-    current membership), so the fleet shares a single idle-time budget
-    the same way one model does — attach it to
-    :class:`~repro.serving.server.ServingServer` exactly like a
-    :class:`Scrubber` (same ``tick()``/``status()`` surface, same
-    never-raises contract).
+    current membership): it verifies ``blocks_per_tick`` of that tenant's
+    blocks, runs its canaries every ``canary_every`` of its own ticks,
+    repairs what it finds, and **never raises** — a scrub failure must not
+    take down the service it protects.  :meth:`run` drives the ticks from
+    a serving event loop's idle time.  A disabled scrubber's :meth:`tick`
+    is a no-op returning ``[]``; that is the configuration the <2%
+    serving-overhead gate measures.
 
     Swap/eviction awareness — the part a naive per-model loop gets
     wrong:
@@ -697,7 +646,8 @@ class FleetScrubber:
       one over the new version — a swap mid-scrub is absorbed at the
       next tick instead of raising false "geometry changed" alarms
       against the retired model (whose in-flight batches it would also
-      have been scrubbing pointlessly).
+      have been scrubbing pointlessly).  A guard records its baseline
+      when it is built, at the tenant's first tick.
     * Guards over **unbound** tenants are built with
       ``include_derived=False``: probing derived caches materialises
       them, so a full guard would rebind every table set the LRU budget
@@ -715,7 +665,6 @@ class FleetScrubber:
         registry,
         blocks_per_tick: int = 8,
         canary_every: int = 8,
-        auto_repair: bool = True,
         enabled: bool = True,
     ):
         if blocks_per_tick <= 0:
@@ -725,97 +674,87 @@ class FleetScrubber:
         self.registry = registry
         self.blocks_per_tick = int(blocks_per_tick)
         self.canary_every = int(canary_every)
-        self.auto_repair = bool(auto_repair)
         self.enabled = bool(enabled)
         self.ticks = 0
         self.guard_builds = 0
         self.last_error: str | None = None
-        #: tenant -> (registry record the guard was built over, Scrubber)
-        self._scrubbers: dict[str, tuple[object, Scrubber]] = {}
+        self._tenants: dict[str, _TenantScrub] = {}
 
-    def _scrubber_for(self, tenant: str) -> Scrubber:
+    def _state_for(self, tenant: str) -> _TenantScrub:
         record = self.registry.record(tenant)
-        cached = self._scrubbers.get(tenant)
-        if cached is not None:
-            cached_record, scrubber = cached
-            if (
-                cached_record is record
-                and scrubber.guard.include_derived == record.bound
-            ):
-                return scrubber
-        # New version (hot-swap), new tenant, or a binding flip: build a
-        # fresh guard matched to the record's current state.
-        guard = IntegrityGuard(record.classifier, include_derived=record.bound)
-        scrubber = Scrubber(
-            guard,
-            blocks_per_tick=self.blocks_per_tick,
-            canary_every=self.canary_every,
-            auto_repair=self.auto_repair,
-        )
-        self._scrubbers[tenant] = (record, scrubber)
-        self.guard_builds += 1
-        telemetry.count("resilience.fleet.guard_builds", tenant=tenant)
-        return scrubber
+        state = self._tenants.get(tenant)
+        if (
+            state is None
+            or state.record is not record
+            or state.guard.include_derived != record.bound
+        ):
+            # New version (hot-swap), new tenant, or a binding flip: build a
+            # fresh guard matched to the record's current state.
+            state = self._tenants[tenant] = _TenantScrub(record)
+            self.guard_builds += 1
+            telemetry.count("resilience.fleet.guard_builds", tenant=tenant)
+        return state
 
     def tick(self) -> list[IntegrityError]:
-        """Scrub one tenant's next increment; never raises."""
+        """Scrub one tenant's next increment; returns the corruption it
+        detected and never raises."""
         if not self.enabled:
             return []
         self.ticks += 1
         names = self.registry.tenants()
-        for stale in [t for t in self._scrubbers if t not in names]:
-            del self._scrubbers[stale]
+        for stale in [t for t in self._tenants if t not in names]:
+            del self._tenants[stale]
         if not names:
             return []
         tenant = names[(self.ticks - 1) % len(names)]
         try:
-            return self._scrubber_for(tenant).tick()
+            state = self._state_for(tenant)
+            state.ticks += 1
+            with telemetry.timer("resilience.scrub.tick_seconds"):
+                errors = state.guard.verify_next_blocks(self.blocks_per_tick)
+                if state.ticks % self.canary_every == 0:
+                    errors += state.guard.check_canaries()
+                state.handle(errors)
         except Exception as unexpected:  # pragma: no cover - defensive
-            # Same contract as Scrubber.tick: the scrub loop protects the
-            # fleet, it must not take it down.
+            # The scrub loop protects the fleet; it must not take it down.
             self.last_error = f"fleet scrub failed for {tenant!r}: {unexpected!r}"
             telemetry.count("resilience.scrub.tick_failures")
             return []
+        return errors
+
+    async def run(self, service, interval: float) -> None:
+        """Tick every ``interval`` seconds while ``service`` has no queued
+        work, until cancelled.
+
+        A tick is deliberately small (a handful of block digests) and never
+        raises, so it runs inline on the event loop; gating on an empty
+        queue keeps it out of the latency path under load.
+        """
+        while True:
+            await asyncio.sleep(interval)
+            if service.queue_depth == 0:
+                self.tick()
 
     def status(self) -> dict:
-        """Aggregate snapshot, same top-level shape as :meth:`Scrubber.status`.
+        """Snapshot for health probes and the chaos bench.
 
         ``degraded``/``errors_detected``/``repairs`` aggregate across the
         fleet (any degraded tenant degrades the fleet's health), and the
         per-tenant breakdown rides under ``"tenants"``.
         """
-        tenants: dict[str, dict] = {}
-        degraded = False
-        errors_detected = repairs = blocks_verified = canary_checks = 0
-        last_error = self.last_error
-        last_repair = None
-        for tenant, (record, scrubber) in sorted(self._scrubbers.items()):
-            sub = scrubber.status()
-            tenants[tenant] = {
-                "version": record.version,
-                "bound": record.bound,
-                "derived_guarded": scrubber.guard.include_derived,
-                **sub,
-            }
-            degraded = degraded or sub["degraded"]
-            errors_detected += sub["errors_detected"]
-            repairs += sub["repairs"]
-            blocks_verified += sub["blocks_verified"]
-            canary_checks += sub["canary_checks"]
-            if sub["last_error"] is not None:
-                last_error = sub["last_error"]
-            if sub["last_repair"] is not None:
-                last_repair = sub["last_repair"]
+        tenants = {tenant: state.status() for tenant, state in sorted(self._tenants.items())}
+        last_error, last_repair = self.last_error, None
+        for sub in tenants.values():
+            last_error = sub["last_error"] or last_error
+            last_repair = sub["last_repair"] or last_repair
+        totals = ("blocks_verified", "canary_checks", "errors_detected", "repairs")
         return {
             "enabled": self.enabled,
-            "auto_repair": self.auto_repair,
+            "auto_repair": True,
             "ticks": self.ticks,
             "guard_builds": self.guard_builds,
-            "blocks_verified": blocks_verified,
-            "canary_checks": canary_checks,
-            "errors_detected": errors_detected,
-            "repairs": repairs,
-            "degraded": degraded,
+            **{key: sum(sub[key] for sub in tenants.values()) for key in totals},
+            "degraded": any(sub["degraded"] for sub in tenants.values()),
             "last_error": last_error,
             "last_repair": last_repair,
             "tenants": tenants,

@@ -333,14 +333,21 @@ def _arrival_schedule(n: int, rate: float, seed, label: str) -> np.ndarray:
     return np.cumsum(rng.exponential(1.0 / rate, size=n))
 
 
+#: Ceiling of one request's overload backoff (seconds).
+_MAX_BACKOFF_SECONDS = 0.05
+
+
 class _Pass:
     """One pass of ``n`` requests through ``send``: what both drivers share.
 
     ``send(index)`` resolves to the prediction, or to ``None`` when the
     target rejected the request as overloaded.  :meth:`issue` retries
-    each rejection after ``backoff`` seconds (tallied per request, the
-    latency clock still running), so every request resolves: the
-    zero-dropped contract.  ``on_halfway`` (when set) starts as a task
+    each rejection (tallied per request, the latency clock still
+    running), so every request resolves: the zero-dropped contract.  The
+    first retry waits ``backoff`` seconds (one batch window), and each
+    further one doubles the request's wait up to
+    ``_MAX_BACKOFF_SECONDS``, so an overloaded run measures the target
+    rather than the generator's own retry traffic.  ``on_halfway`` (when set) starts as a task
     once half the requests have answered; :meth:`close` awaits it and
     keeps its result in ``hook``.
     """
@@ -358,9 +365,11 @@ class _Pass:
         self.max_lag = 0.0
 
     async def issue(self, index: int) -> None:
+        wait = self.backoff
         while (answer := await self.send(index)) is None:
             self.rejected[index] += 1
-            await asyncio.sleep(self.backoff)
+            await asyncio.sleep(wait)
+            wait = min(2.0 * wait, _MAX_BACKOFF_SECONDS)
         self.predictions[index] = answer
         self.answered_at[index] = time.perf_counter()
         self.completed += 1

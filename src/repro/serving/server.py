@@ -11,9 +11,9 @@ A request may carry ``"deadline_ms"`` to bound how long it is allowed to
 wait for a batch slot (see ``MicrobatchConfig.deadline_ms``).  A
 ``{"op": "health"}`` request returns the service's liveness snapshot
 instead of a prediction: running state, queue depth, request accounting,
-the registry's fleet snapshot, and — when an integrity scrubber is
-attached — its status, including the last detected error and last
-repair.
+the registry's fleet snapshot, and — when the server scrubs (a positive
+``scrub_interval``) — the scrubber's status, including the last detected
+error and last repair (``null`` when it does not).
 
 Fleet protocol (every service serves a
 :class:`~repro.serving.registry.ModelRegistry`; a single model is the
@@ -66,12 +66,12 @@ drains normally, the unanswerable response is accounted under
 :attr:`ServingServer.cancelled`, and the handler closes quietly — no
 stack traces for a routine hangup.
 
-Resilience wiring: pass a scrubber (a
-:class:`~repro.resilience.integrity.FleetScrubber` over the registry, or
-a :class:`~repro.resilience.integrity.Scrubber` over one model) to
-co-host integrity scrubbing with serving.  The scrub loop ticks on the
-event loop only while the request queue is empty, so verification steals
-idle cycles instead of taxing p99 latency under load.
+Resilience wiring: a positive ``scrub_interval`` co-hosts integrity
+scrubbing with serving — the server builds one
+:class:`~repro.resilience.integrity.FleetScrubber` over the registry it
+serves and runs it on the event loop, ticking only while the request
+queue is empty, so verification steals idle cycles instead of taxing p99
+latency under load.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from collections.abc import Awaitable, Callable
 
 from repro import telemetry
 from repro.lookhd.persistence import ArtifactError, load_classifier
+from repro.resilience.integrity import FleetScrubber
 from repro.resilience.retry import DeadlineExceededError
 from repro.serving.registry import UnknownTenantError
 from repro.serving.service import (
@@ -180,14 +181,13 @@ class ServingServer:
     host, port:
         Bind address.  ``port=0`` binds an ephemeral port; read
         :attr:`port` after :meth:`start` (the in-process test/smoke path).
-    scrubber:
-        Optional :class:`~repro.resilience.integrity.FleetScrubber` (or
-        :class:`~repro.resilience.integrity.Scrubber`) over the served
-        models.  When set, a background task ticks it every
-        ``scrub_interval`` seconds while the service is idle, and its
-        status is reported by the ``health`` op.
     scrub_interval:
-        Seconds between scrub ticks (only meaningful with ``scrubber``).
+        Seconds between integrity-scrub ticks; ``0`` (default) scrubs
+        nothing.  When positive, the server builds a
+        :class:`~repro.resilience.integrity.FleetScrubber` over the
+        service's registry, ticks it every ``scrub_interval`` seconds
+        while the service is idle, and reports its status in the
+        ``health`` op.
     pipelined:
         Connection handling mode.  ``False`` (default, the public
         protocol): requests on one connection are answered strictly in
@@ -207,8 +207,7 @@ class ServingServer:
         service: InferenceService,
         host: str = "127.0.0.1",
         port: int = 0,
-        scrubber=None,
-        scrub_interval: float = 0.25,
+        scrub_interval: float = 0.0,
         allow_partial_fit: bool = False,
         pipelined: bool = False,
     ):
@@ -220,12 +219,12 @@ class ServingServer:
         #: so live updating is an explicit deployment decision
         #: (``repro serve --partial-fit``), not an always-open door.
         self.allow_partial_fit = bool(allow_partial_fit)
-        self.scrubber = scrubber
-        if not scrub_interval > 0:
+        if not scrub_interval >= 0:
             raise ValueError(
-                f"scrub_interval must be positive, got {scrub_interval}"
+                f"scrub_interval must be non-negative, got {scrub_interval}"
             )
-        self.scrub_interval = scrub_interval
+        self.scrub_interval = float(scrub_interval)
+        self.scrubber = FleetScrubber(service.registry) if scrub_interval > 0 else None
         #: Requests whose client disconnected before the answer could be
         #: written.  The prediction itself still completed (the service
         #: drains normally); only the response had nobody to go to.
@@ -248,7 +247,7 @@ class ServingServer:
         )
         if self.scrubber is not None and self._scrub_task is None:
             self._scrub_task = asyncio.get_running_loop().create_task(
-                self._scrub_loop()
+                self.scrubber.run(self.service, self.scrub_interval)
             )
         return self
 
@@ -278,19 +277,6 @@ class ServingServer:
         await self.stop()
 
     # -- resilience ------------------------------------------------------------
-
-    async def _scrub_loop(self) -> None:
-        """Tick the scrubber whenever the service has no queued work.
-
-        ``Scrubber.tick`` is deliberately small (a handful of block
-        digests per call) and never raises, so running it inline on the
-        event loop is safe; gating on an empty queue keeps it out of the
-        latency path under load.
-        """
-        while True:
-            await asyncio.sleep(self.scrub_interval)
-            if self.service.queue_depth == 0:
-                self.scrubber.tick()
 
     def health(self) -> dict:
         """Liveness snapshot served by the ``{"op": "health"}`` request."""

@@ -61,12 +61,14 @@ Design points, in the order they matter:
   ``unavailable`` error code; everything a shard answers (``overloaded``,
   ``deadline``, …) is forwarded verbatim.
 
-* **Per-shard scrubbing.**  Each shard co-hosts its own
-  :class:`~repro.resilience.integrity.FleetScrubber` over the tenants it
-  owns (idle-time ticks, exactly as the single-process server does), so
-  every tenant is scrubbed once, by the process that serves it.  The
-  extended ``health`` op reports per-shard blocks: incarnation, port,
-  queue depth, request accounting, scrub status, fleet.
+* **Per-shard scrubbing.**  Each shard's server is started with the
+  pool's ``scrub_interval`` and so runs its own
+  :class:`~repro.resilience.integrity.FleetScrubber` over the registry of
+  tenants it owns (idle-time ticks, exactly as ``repro serve`` without
+  shards does), so every tenant is scrubbed once, by the process that
+  serves it.  The extended ``health`` op reports per-shard blocks:
+  incarnation, port, queue depth, request accounting, scrub status,
+  fleet.
 """
 
 from __future__ import annotations
@@ -168,18 +170,11 @@ def _shard_main(
         registry.publish(tenant, load_classifier(path))
 
     async def _run() -> None:
-        scrubber = None
-        if scrub_interval > 0:
-            from repro.resilience import FleetScrubber
-
-            scrubber = FleetScrubber(registry)
-        service = InferenceService(registry=registry, config=config)
         server = ServingServer(
-            service,
+            InferenceService(registry, config),
             host=host,
             port=0,
-            scrubber=scrubber,
-            scrub_interval=scrub_interval if scrubber is not None else 0.25,
+            scrub_interval=scrub_interval,
             allow_partial_fit=allow_partial_fit,
             pipelined=True,
         )
@@ -273,9 +268,9 @@ class ShardedServer:
     allow_partial_fit:
         Forwarded to every shard server (the ``--partial-fit`` gate).
     scrub_interval:
-        Idle-scrub tick interval for each shard's
-        :class:`~repro.resilience.integrity.FleetScrubber`; ``0``
-        disables per-shard scrubbing.
+        Idle-scrub tick interval, passed to each shard's
+        :class:`~repro.serving.server.ServingServer`, which scrubs the
+        tenants it owns; ``0`` disables per-shard scrubbing.
     max_respawns:
         Supervision budget across the server's lifetime: how many shard
         deaths are answered with a respawn before the slot is declared
@@ -300,7 +295,7 @@ class ShardedServer:
         self.n_shards = check_positive_int(n_shards, "n_shards")
         if max_respawns < 0:
             raise ValueError(f"max_respawns must be non-negative, got {max_respawns}")
-        if scrub_interval < 0:
+        if not scrub_interval >= 0:  # NaN too: each shard's server refuses it
             raise ValueError(
                 f"scrub_interval must be non-negative, got {scrub_interval}"
             )

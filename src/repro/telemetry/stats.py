@@ -17,6 +17,7 @@ micro-workload and reports the relative overhead.
 
 from __future__ import annotations
 
+import gc
 import sys
 import tempfile
 import time
@@ -140,9 +141,12 @@ def measure_disabled_overhead(
     Times the instrumented public fused predict path against a local,
     telemetry-free reimplementation of the identical kernel (quantize →
     addresses → score-table gather/sum → argmax) and returns best-of-
-    ``repeats`` wall times plus their relative difference.  Best-of (not
+    ``repeats`` times plus their relative difference.  Best-of (not
     median) is used because the quantity under test is a fixed per-batch
-    instruction overhead, and minima strip scheduler noise.
+    instruction overhead, and minima strip scheduler noise.  Each sample
+    is timed on the calling thread's CPU clock with the garbage collector
+    held off, so neither a preemption by another process nor a collection
+    triggered by earlier work lands inside a sample.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -173,14 +177,20 @@ def measure_disabled_overhead(
         raise RuntimeError("overhead baseline diverged from the instrumented path")
 
     instrumented_times, baseline_times = [], []
-    for _ in range(repeats):
-        # Interleave so drift (thermal, caches) hits both paths equally.
-        start = time.perf_counter()
-        baseline()
-        baseline_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        instrumented()
-        instrumented_times.append(time.perf_counter() - start)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            # Interleave so drift (thermal, caches) hits both paths equally.
+            start = time.thread_time()
+            baseline()
+            baseline_times.append(time.thread_time() - start)
+            start = time.thread_time()
+            instrumented()
+            instrumented_times.append(time.thread_time() - start)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     best_baseline = min(baseline_times)
     best_instrumented = min(instrumented_times)

@@ -37,6 +37,15 @@ class TestLinearQuantizer:
                 assert np.all(q.transform(values) == 0)
                 assert np.all(np.diff(q.boundaries) > 0)
 
+    def test_span_wider_than_float_range_keeps_finite_bins(self):
+        # ``high - low`` overflows to inf here; the bins must not.
+        values = np.array([-1e308, 0.0, 1e308])
+        with np.errstate(all="raise"):
+            q = LinearQuantizer(4).fit(values)
+            assert q.transform(values).tolist() == [0, 2, 3]
+            assert np.all(np.isfinite(q.boundaries))
+            assert np.all(np.diff(q.boundaries) > 0)
+
     def test_transform_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             LinearQuantizer(4).transform(np.array([1.0]))

@@ -45,7 +45,7 @@ def test_round_robin_scrubs_every_tenant(registry):
         assert sub["derived_guarded"] is True
     assert status["blocks_verified"] > 0
     assert status["degraded"] is False
-    # Same top-level keys the server health probe reads off Scrubber.status().
+    # Top-level keys the server health probe reports.
     for key in ("enabled", "degraded", "errors_detected", "repairs", "ticks"):
         assert key in status
 

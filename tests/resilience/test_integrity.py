@@ -12,7 +12,8 @@ import pytest
 from repro.datasets.synthetic import SyntheticSpec, make_synthetic_classification
 from repro.faults import inject_live_fault
 from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
-from repro.resilience import IntegrityError, IntegrityGuard, Scrubber
+from repro.resilience import FleetScrubber, IntegrityError, IntegrityGuard
+from tests.serving.helpers import one_tenant
 
 
 @pytest.fixture(scope="module")
@@ -132,39 +133,25 @@ class TestIntegrityGuard:
 
 
 class TestScrubber:
+    """The scrubber over a single model, served as a one-tenant registry."""
+
     def test_incremental_ticks_detect_and_repair(self, clf, data):
-        guard = IntegrityGuard(clf)
-        scrubber = Scrubber(guard, blocks_per_tick=4, canary_every=4)
+        scrubber = FleetScrubber(one_tenant(clf), blocks_per_tick=4, canary_every=4)
         clean = np.asarray(clf.predict(data.test_features))
+        scrubber.tick()  # the tenant's first tick records the clean baseline
         inject_live_fault(clf, "score_table", ber=1e-4, seed=4)
         for _ in range(2_000):
             scrubber.tick()
-            if scrubber.repairs:
+            if scrubber.status()["repairs"]:
                 break
-        assert scrubber.errors_detected >= 1
-        assert scrubber.repairs == 1
-        assert scrubber.last_repair["action"] == "rebuilt_derived"
+        status = scrubber.status()
+        assert status["errors_detected"] >= 1
+        assert status["repairs"] == 1
+        assert status["last_repair"]["action"] == "rebuilt_derived"
         assert np.array_equal(np.asarray(clf.predict(data.test_features)), clean)
 
-    def test_disabled_tick_is_a_noop(self, clf):
-        scrubber = Scrubber(IntegrityGuard(clf), enabled=False)
-        verified_before = scrubber.guard.blocks_verified
-        assert scrubber.tick() == []
-        assert scrubber.ticks == 0
-        assert scrubber.guard.blocks_verified == verified_before
-
-    def test_auto_repair_off_records_without_touching(self, clf):
-        guard = IntegrityGuard(clf)
-        scrubber = Scrubber(guard, blocks_per_tick=10_000, auto_repair=False)
-        clf.class_model.class_vectors[0, 0] += 5
-        scrubber.tick()
-        assert scrubber.errors_detected >= 1
-        assert scrubber.last_error is not None
-        assert scrubber.repairs == 0
-        assert scrubber.last_repair is None
-
     def test_status_snapshot_shape(self, clf):
-        scrubber = Scrubber(IntegrityGuard(clf))
+        scrubber = FleetScrubber(one_tenant(clf))
         scrubber.tick()
         status = scrubber.status()
         for key in (
@@ -182,10 +169,4 @@ class TestScrubber:
             assert key in status
         assert status["ticks"] == 1
         assert status["degraded"] is False
-
-    def test_validation(self, clf):
-        guard = IntegrityGuard(clf)
-        with pytest.raises(ValueError, match="blocks_per_tick"):
-            Scrubber(guard, blocks_per_tick=0)
-        with pytest.raises(ValueError, match="canary_every"):
-            Scrubber(guard, canary_every=0)
+        assert list(status["tenants"]) == ["default"]

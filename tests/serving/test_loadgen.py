@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import copy
 import json
 
@@ -18,7 +19,7 @@ from repro.serving import (
     validate_serving_payload,
     write_serving_file,
 )
-from repro.serving.loadgen import _tenant_schedule
+from repro.serving.loadgen import _MAX_BACKOFF_SECONDS, _Pass, _tenant_schedule
 
 
 @pytest.fixture(scope="module")
@@ -409,6 +410,29 @@ def test_open_loop_counts_rejections_per_tenant(n_shards):
             value for name, value in counters.items()
             if name.startswith("serving.requests.rejected")
         )
+
+
+def test_overloaded_retries_back_off_exponentially(monkeypatch):
+    # A target that answers "overloaded" 12 times: each retry must wait
+    # longer than the last (doubling from one batch window) up to the cap.
+    answers = iter([None] * 12 + [3])
+    waits = []
+    real_sleep = asyncio.sleep
+
+    async def send(index: int):
+        return next(answers)
+
+    async def recorded_sleep(delay):
+        waits.append(delay)
+        await real_sleep(0)
+
+    monkeypatch.setattr(asyncio, "sleep", recorded_sleep)
+    run = _Pass(send, 1, backoff=0.002)
+    asyncio.run(run.issue(0))
+    assert run.predictions[0] == 3 and run.rejected[0] == 12
+    assert waits[:3] == [0.002, 0.004, 0.008]
+    assert all(later >= earlier for earlier, later in zip(waits, waits[1:]))
+    assert waits[-1] == _MAX_BACKOFF_SECONDS
 
 
 def test_open_loop_swap_is_performed():

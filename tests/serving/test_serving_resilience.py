@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.resilience import DeadlineExceededError, IntegrityGuard, Scrubber
+from repro.resilience import DeadlineExceededError
 from repro.serving import InferenceService, MicrobatchConfig, ServingServer
 from tests.serving.helpers import one_tenant
 
@@ -134,13 +134,9 @@ class TestHealthProbe:
         assert health["requests"]["dropped"] == 0
 
     def test_health_reports_scrub_status(self, fitted_lookhd):
-        scrubber = Scrubber(IntegrityGuard(fitted_lookhd), blocks_per_tick=4)
-
         async def drive():
             service = InferenceService(one_tenant(fitted_lookhd), MicrobatchConfig())
-            server = ServingServer(
-                service, port=0, scrubber=scrubber, scrub_interval=0.005
-            )
+            server = ServingServer(service, port=0, scrub_interval=0.005)
             async with server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
@@ -156,12 +152,15 @@ class TestHealthProbe:
         health = asyncio.run(drive())
         assert health["scrub"]["ticks"] > 0
         assert health["scrub"]["enabled"] is True
+        assert list(health["scrub"]["tenants"]) == [InferenceService.DEFAULT_TENANT]
         assert health["status"] == "ok"
 
     def test_scrub_interval_validated(self, fitted_lookhd):
+        # 0 means "do not scrub"; only a negative interval is invalid.
         service = InferenceService(one_tenant(fitted_lookhd), MicrobatchConfig())
+        assert ServingServer(service, scrub_interval=0.0).scrubber is None
         with pytest.raises(ValueError, match="scrub_interval"):
-            ServingServer(service, scrub_interval=0.0)
+            ServingServer(service, scrub_interval=-1.0)
 
 
 class TestDisconnect:

@@ -439,11 +439,50 @@ class TestShardedServer:
         assert not replaced.is_alive()
         assert not successor.is_alive()
 
+    def test_each_shard_scrubs_exactly_the_tenants_it_owns(
+        self, tenant_artifacts, small_dataset, tmp_path
+    ):
+        gamma = LookHDClassifier(LookHDConfig(dim=512, levels=4, chunk_size=4, seed=23))
+        gamma.fit(small_dataset.train_features, small_dataset.train_labels)
+        models = _models(tenant_artifacts) + [
+            ("gamma", str(save_classifier(gamma, tmp_path / "gamma.npz")))
+        ]
+        owned = {
+            str(index): sorted(tenant for tenant, _ in models if shard_for(tenant, 2) == index)
+            for index in range(2)
+        }
+        assert all(owned.values()), owned  # both shards own a tenant
+
+        async def health_of(scrub_interval):
+            async with ShardedServer(
+                models, n_shards=2, scrub_interval=scrub_interval
+            ) as server:
+                if not scrub_interval:
+                    return await server.health()
+                # One tick per owned tenant reaches every tenant once.
+                for _ in range(1_000):
+                    health = await server.health()
+                    if all(
+                        block["scrub"]["ticks"] >= len(owned[index])
+                        for index, block in health["shards"].items()
+                    ):
+                        return health
+                    await asyncio.sleep(0.02)
+                raise AssertionError(f"shards never scrubbed every tenant: {health}")
+
+        for index, block in asyncio.run(health_of(0.01))["shards"].items():
+            assert block["scrub"]["blocks_verified"] > 0
+            assert sorted(block["scrub"]["tenants"]) == owned[index]
+        for block in asyncio.run(health_of(0))["shards"].values():
+            assert block["scrub"] is None
+
     def test_constructor_validation(self, tenant_artifacts):
         with pytest.raises(ValueError, match="n_shards"):
             ShardedServer(_models(tenant_artifacts), n_shards=0)
         with pytest.raises(ValueError, match="max_respawns"):
             ShardedServer(_models(tenant_artifacts), n_shards=1, max_respawns=-1)
+        with pytest.raises(ValueError, match="scrub_interval"):
+            ShardedServer(_models(tenant_artifacts), n_shards=1, scrub_interval=float("nan"))
         with pytest.raises(ValueError, match="tenant"):
             ShardedServer([("", "model.npz")], n_shards=1)
         with pytest.raises(ValueError, match="path"):

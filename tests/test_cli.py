@@ -154,6 +154,7 @@ class TestServingCommands:
             ["serve", "--deadline-ms", "0"],
             ["serve", "--deadline-ms", "-5"],
             ["serve", "--scrub-interval", "-1"],
+            ["serve", "--scrub-interval", "nan"],
             ["serve", "--models", "edge7"],  # missing =PATH
             ["serve", "--models", "=model.npz"],  # empty tenant name
             ["serve", "--tenant-quota", "0"],

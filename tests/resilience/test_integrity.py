@@ -150,6 +150,14 @@ class TestScrubber:
         assert status["last_repair"]["action"] == "rebuilt_derived"
         assert np.array_equal(np.asarray(clf.predict(data.test_features)), clean)
 
+    def test_disabled_tick_is_a_noop(self, clf):
+        scrubber = FleetScrubber(one_tenant(clf), enabled=False)
+        assert scrubber.tick() == []
+        status = scrubber.status()
+        assert status["ticks"] == 0
+        assert status["blocks_verified"] == 0
+        assert scrubber.guard_builds == 0
+
     def test_status_snapshot_shape(self, clf):
         scrubber = FleetScrubber(one_tenant(clf))
         scrubber.tick()
@@ -170,3 +178,10 @@ class TestScrubber:
         assert status["ticks"] == 1
         assert status["degraded"] is False
         assert list(status["tenants"]) == ["default"]
+
+    def test_validation(self, clf):
+        registry = one_tenant(clf)
+        with pytest.raises(ValueError, match="blocks_per_tick"):
+            FleetScrubber(registry, blocks_per_tick=0)
+        with pytest.raises(ValueError, match="canary_every"):
+            FleetScrubber(registry, canary_every=0)
